@@ -1,6 +1,8 @@
 """Tests for the performance-group file format and loader."""
 
+import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,19 @@ from repro.core.perfctr.groups import (builtin_groups_for, file_groups_for,
                                        groups_for)
 from repro.errors import GroupError
 from repro.hw.arch import ARCH_SPECS, get_arch
+
+# The parsed catalog of every shipped group file: description, ordered
+# (event, counter) pairs and ordered (label, formula) metrics.  A
+# deliberate change to a shipped group file updates this snapshot in
+# the same change.
+GOLDEN_CATALOG = Path(__file__).parent / "golden" / "group_catalog.json"
+
+
+def catalog_snapshot(groups) -> dict:
+    return {name: {"description": g.description,
+                   "events": [[e.event, e.counter] for e in g.events],
+                   "metrics": [list(m) for m in g.metrics]}
+            for name, g in sorted(groups.items())}
 
 SAMPLE = textwrap.dedent("""\
     SHORT Double Precision MFlops/s
@@ -78,21 +93,28 @@ class TestShippedFiles:
         assert groupfile_dir(arch).is_dir()
         assert load_group_dir(groupfile_dir(arch))
 
+    def test_golden_catalog_covers_every_arch(self):
+        assert sorted(json.loads(GOLDEN_CATALOG.read_text())) == \
+            sorted(ARCH_SPECS)
+
     @pytest.mark.parametrize("arch", sorted(ARCH_SPECS))
     def test_files_equal_builtin_catalog(self, arch):
-        """The shipped files must round-trip the built-in definitions:
-        same groups, same events, same (event-name) formulas."""
+        """The shipped files must parse to the golden snapshot of the
+        built-in catalog: same groups, descriptions, events, counters
+        and (event-name) formulas, in the same order."""
+        golden = json.loads(GOLDEN_CATALOG.read_text())
+        assert catalog_snapshot(file_groups_for(get_arch(arch))) == \
+            golden[arch]
+
+    @pytest.mark.parametrize("arch", sorted(ARCH_SPECS))
+    def test_golden_equals_code_catalog(self, arch):
+        """The snapshot is the code-defined catalog, filtered to the
+        events the architecture has."""
         spec = get_arch(arch)
-        from_files = file_groups_for(spec)
         builtin = {name: g for name, g in builtin_groups_for(spec).items()
                    if all(e.event in spec.events for e in g.events)}
-        assert from_files is not None
-        assert set(from_files) == set(builtin)
-        for name, group in builtin.items():
-            loaded = from_files[name]
-            assert [(e.event, e.counter) for e in loaded.events] == \
-                [(e.event, e.counter) for e in group.events], name
-            assert dict(loaded.metrics) == dict(group.metrics), name
+        golden = json.loads(GOLDEN_CATALOG.read_text())
+        assert catalog_snapshot(builtin) == golden[arch]
 
     def test_groups_for_prefers_files(self, tmp_path, monkeypatch):
         """A user-dropped group file extends the catalog."""
