@@ -98,15 +98,6 @@ class CFG:
     exit: int = 1
     exc_exit: int = 2
 
-    def preds(self) -> dict[int, list[tuple[int, tuple | None]]]:
-        """Predecessor map: node -> [(pred, label), ...]."""
-        out: dict[int, list[tuple[int, tuple | None]]] = \
-            {nid: [] for nid in self.nodes}
-        for src, edges in self.succs.items():
-            for dst, label in edges:
-                out[dst].append((src, label))
-        return out
-
     def real_nodes(self) -> list[Node]:
         """Statement-bearing nodes in id (≈ source) order."""
         return [n for n in sorted(self.nodes.values(), key=lambda n: n.nid)

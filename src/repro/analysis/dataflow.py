@@ -14,8 +14,8 @@ statement's **in** state: an exception means the statement's effect
 (the binding, the append) must not be assumed to have happened.
 
 Facts must be immutable and hashable-equal (frozensets, tuples,
-``frozendict``-style mappings via :func:`freeze`); the engine relies
-on ``==`` to detect the fixpoint.
+sorted item tuples for mappings); the engine relies on ``==`` to
+detect the fixpoint.
 """
 
 from __future__ import annotations
@@ -84,12 +84,3 @@ def solve(cfg: CFG, analysis: Analysis) -> dict[int, object]:
                     queued.add(dst)
                     work.append(dst)
     return in_facts
-
-
-def freeze(mapping: dict) -> tuple:
-    """An immutable, order-independent snapshot of a dict fact."""
-    return tuple(sorted(mapping.items()))
-
-
-def thaw(fact: tuple) -> dict:
-    return dict(fact)

@@ -99,9 +99,9 @@ class Diagnostic:
     """One finding of the static verification pass.
 
     ``locus`` names the configuration artefact the finding is about —
-    a group source (``groupfile:nehalem_ep/MEM.txt`` or
-    ``builtin:MEM``), an event table (``events:amd_k8``), a register
-    layout (``registers:core2``) or a pin expression
+    a group source (``groupfile:nehalem_ep/MEM.txt``, or ``group:MEM``
+    for a single ``-g`` group), an event table (``events:amd_k8``), a
+    register layout (``registers:core2``) or a pin expression
     (``affinity:0-3``).  ``column`` is the 1-based position inside a
     metric formula when the finding points at a token.
     """
@@ -146,13 +146,6 @@ def sort_key(diag: Diagnostic) -> tuple:
     """Deterministic report order: arch, locus, group, code, message."""
     return (diag.arch or "", diag.locus or "", diag.group or "",
             diag.code, diag.message)
-
-
-def worst_severity(diags: list[Diagnostic]) -> Severity | None:
-    for severity in (Severity.ERROR, Severity.WARNING, Severity.NOTE):
-        if any(d.severity is severity for d in diags):
-            return severity
-    return None
 
 
 def counts(diags: list[Diagnostic]) -> dict[str, int]:

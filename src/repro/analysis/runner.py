@@ -1,14 +1,11 @@
 """Drives the analyzers over the whole configuration surface.
 
 The unit of work is one architecture: its register layout and event
-encodings, then every group in both catalogs — the built-in
-(code-defined) family groups and the shipped ``groupfiles/<arch>``
-directory.  Built-in catalogs are shared across a family, so groups
-whose events an architecture lacks are skipped exactly as
-:func:`~repro.core.perfctr.groups.groups_for` would skip them at
-runtime; file-backed groups are per-architecture and are linted
-unconditionally — there, a reference to an unavailable event is a
-genuine defect (LK101), not cross-family variance.
+encodings, then every group of its ``groupfiles/<arch>`` directory.
+Group files are per-architecture and are linted unconditionally — a
+reference to an event the architecture lacks is a genuine defect
+(LK101), even though :func:`~repro.core.perfctr.groups.groups_for`
+would silently skip that group at runtime.
 
 Everything operates on :class:`~repro.hw.spec.ArchSpec` and
 :class:`~repro.core.perfctr.counters.CounterMap` only — no simulated
@@ -24,9 +21,8 @@ from repro.analysis import (affinity_lint, feasibility, formula_lint,
                             journal_lint, protocol, registers_lint)
 from repro.analysis.diagnostics import Diagnostic, sort_key
 from repro.core.perfctr.events import EventSpec, parse_event_string
-from repro.core.perfctr.groups import (GroupDef, builtin_groups_for,
-                                       file_groups_for)
-from repro.errors import EventError, GroupError
+from repro.core.perfctr.groups import GroupDef, file_groups_for
+from repro.errors import EventError
 from repro.hw.spec import ArchSpec
 
 lint_affinity = affinity_lint.lint_affinity
@@ -56,19 +52,9 @@ def lint_event_string(spec: ArchSpec, text: str) -> list[Diagnostic]:
 
 def catalog_for(spec: ArchSpec) -> list[tuple[str, GroupDef]]:
     """(locus, group) for everything lintable on one architecture."""
-    out: list[tuple[str, GroupDef]] = []
-    try:
-        builtin = builtin_groups_for(spec)
-    except GroupError:
-        builtin = {}
-    for name in sorted(builtin):
-        group = builtin[name]
-        if all(e.event in spec.events for e in group.events):
-            out.append((f"builtin:{name}", group))
-    file_groups = file_groups_for(spec) or {}
-    for name in sorted(file_groups):
-        out.append((f"groupfile:{spec.name}/{name}.txt", file_groups[name]))
-    return out
+    groups = file_groups_for(spec)
+    return [(f"groupfile:{spec.name}/{name}.txt", groups[name])
+            for name in sorted(groups)]
 
 
 def lint_spec(spec: ArchSpec, *,
@@ -177,7 +163,7 @@ def lint_changed(ref: str = "origin/main", *,
                 spec = get_arch(arch)
             except Exception:
                 continue
-            groups = file_groups_for(spec) or {}
+            groups = file_groups_for(spec)
             if name in groups:
                 diags.extend(lint_group(
                     spec, groups[name],

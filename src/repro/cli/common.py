@@ -106,18 +106,6 @@ def backend_from_args(machine: SimMachine, args: argparse.Namespace,
     return open_backend(mode, machine, faults=faults, journal=journal)
 
 
-def driver_from_args(machine: SimMachine, args: argparse.Namespace,
-                     *, faults=None):
-    """Deprecated: the raw msr driver behind the default backend.
-
-    Tool code should hold an :class:`~repro.oskern.access.AccessBackend`
-    from :func:`backend_from_args` instead (LK503 flags direct
-    ``MsrDriver(...)`` construction in this layer); this shim keeps old
-    call sites working and is mode-blind — the driver is the same
-    object either backend would wrap."""
-    return backend_from_args(machine, args, faults=faults).driver
-
-
 def warn_orphaned_journal(driver, tool: str) -> None:
     """A non-empty journal at startup means a previous run died
     mid-session; measuring from its dirty baseline is wrong."""

@@ -35,7 +35,7 @@ from repro.cli.common import (EXIT_KILLED, EXIT_UNRECOVERABLE, WORKLOADS,
                               warn_orphaned_journal)
 from repro.core.affinity import parse_corelist
 from repro.core.perfctr import LikwidPerfCtr
-from repro.core.perfctr.groups import GROUP_FUNCTIONS, groups_for
+from repro.core.perfctr.groups import groups_for
 from repro.core.perfctr.output import render_header, render_result
 from repro.errors import (DegradedError, JournalError, MsrError,
                           ProcessKilled, ReproError, SimulatedInterrupt)
@@ -102,7 +102,7 @@ def _run(args: argparse.Namespace) -> int:
     machine = machine_from_args(args)
     if args.list_groups:
         for name, group in sorted(groups_for(machine.spec).items()):
-            print(f"{name}\t{GROUP_FUNCTIONS[name]}")
+            print(f"{name}\t{group.description}")
         return 0
     if args.list_events:
         from repro.core.perfctr.counters import CounterMap

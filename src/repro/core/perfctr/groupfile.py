@@ -23,10 +23,8 @@ Metric formulas reference *counter names* (the likwid convention); the
 loader rewrites them to event names using the EVENTSET mapping so the
 rest of the measurement stack stays counter-agnostic.
 
-The shipped group files under ``groupfiles/<arch>/`` are the source of
-truth at runtime; :func:`repro.core.perfctr.groups.groups_for` loads
-them and falls back to its built-in definitions only when no file
-directory exists for an architecture.
+The shipped group files under ``groupfiles/<arch>/`` are the only
+group catalog; :func:`repro.core.perfctr.groups.groups_for` loads them.
 """
 
 from __future__ import annotations
@@ -136,38 +134,6 @@ class ParsedGroup:
     def event_specs(self) -> tuple[EventSpec, ...]:
         return tuple(EventSpec(event, counter)
                      for counter, event in self.events)
-
-
-def serialize_group(name: str, description: str,
-                    events: tuple[EventSpec, ...],
-                    metrics: tuple[tuple[str, str], ...],
-                    *, long: str = "") -> str:
-    """Write a GroupDef back into the file format (counter-name
-    formulas), used to generate the shipped group files."""
-    event_by_name = {e.event: e.counter for e in events}
-    for counter, event in _IMPLICIT_FIXED.items():
-        event_by_name.setdefault(event, counter)
-    # Longest names first so e.g. L2_RQSTS_REFERENCES is not clobbered
-    # by a shorter prefix.
-    ordered = sorted(event_by_name, key=len, reverse=True)
-
-    def to_counters(formula: str) -> str:
-        for event in ordered:
-            formula = re.sub(rf"\b{re.escape(event)}\b",
-                             event_by_name[event], formula)
-        return formula
-
-    lines = [f"SHORT {description}", "", "EVENTSET"]
-    for e in events:
-        lines.append(f"{e.counter}  {e.event}")
-    lines.append("")
-    lines.append("METRICS")
-    for label, formula in metrics:
-        lines.append(f"{label}  {to_counters(formula)}")
-    if long:
-        lines.extend(["", "LONG", long])
-    lines.append("")
-    return "\n".join(lines)
 
 
 def load_group_dir(arch_dir: Path) -> dict[str, ParsedGroup]:

@@ -9,6 +9,8 @@ events, Core 2's L2 line traffic (its L2 is the last cache level), or
 AMD's northbridge DRAM events; AMD has no fixed counters, so its
 groups spend two general-purpose counters on instructions and cycles.
 
+The groups are defined by the shipped ``groupfiles/<arch>/*.txt``
+files (see :mod:`repro.core.perfctr.groupfile`), the only catalog.
 Metric formulas are strings over event names plus ``time`` (seconds)
 and ``clock`` (Hz), evaluated by :mod:`repro.core.perfctr.formula`.
 """
@@ -21,21 +23,6 @@ from repro.core.perfctr.events import EventSpec
 from repro.errors import GroupError
 from repro.hw.spec import ArchSpec
 
-# The paper's table of event sets (§II.A).
-GROUP_FUNCTIONS = {
-    "FLOPS_DP": "Double Precision MFlops/s",
-    "FLOPS_SP": "Single Precision MFlops/s",
-    "L2": "L2 cache bandwidth in MBytes/s",
-    "L3": "L3 cache bandwidth in MBytes/s",
-    "MEM": "Main memory bandwidth in MBytes/s",
-    "CACHE": "L1 Data cache miss rate/ratio",
-    "L2CACHE": "L2 Data cache miss rate/ratio",
-    "L3CACHE": "L3 Data cache miss rate/ratio",
-    "DATA": "Load to store ratio",
-    "BRANCH": "Branch prediction miss rate/ratio",
-    "TLB": "Translation lookaside buffer miss rate/ratio",
-}
-
 
 @dataclass(frozen=True)
 class GroupDef:
@@ -47,410 +34,29 @@ class GroupDef:
     metrics: tuple[tuple[str, str], ...]   # (metric label, formula)
 
 
-def _g(name: str, events: list[tuple[str, str]],
-       metrics: list[tuple[str, str]]) -> GroupDef:
-    return GroupDef(name, GROUP_FUNCTIONS[name],
-                    tuple(EventSpec(e, c) for e, c in events),
-                    tuple(metrics))
-
-
-# Shared Intel metric prelude: the fixed counters feed runtime and CPI
-# in every group ("always counted").
-_INTEL_COMMON = [
-    ("Runtime [s]", "CPU_CLK_UNHALTED_CORE/clock"),
-    ("CPI", "CPU_CLK_UNHALTED_CORE/INSTR_RETIRED_ANY"),
-]
-
-_AMD_COMMON = [
-    ("Runtime [s]", "CPU_CLOCKS_UNHALTED/clock"),
-    ("CPI", "CPU_CLOCKS_UNHALTED/RETIRED_INSTRUCTIONS"),
-]
-_AMD_FIXED = [("RETIRED_INSTRUCTIONS", "PMC0"), ("CPU_CLOCKS_UNHALTED", "PMC1")]
-
-
-def _nehalem_groups() -> dict[str, GroupDef]:
-    return {g.name: g for g in [
-        _g("FLOPS_DP",
-           [("FP_COMP_OPS_EXE_SSE_FP_PACKED", "PMC0"),
-            ("FP_COMP_OPS_EXE_SSE_FP_SCALAR", "PMC1")],
-           _INTEL_COMMON + [
-               ("DP MFlops/s",
-                "1.0E-06*(FP_COMP_OPS_EXE_SSE_FP_PACKED*2.0"
-                "+FP_COMP_OPS_EXE_SSE_FP_SCALAR)/time")]),
-        _g("FLOPS_SP",
-           [("FP_COMP_OPS_EXE_SSE_SINGLE_PRECISION", "PMC0"),
-            ("FP_COMP_OPS_EXE_SSE_SCALAR_SINGLE", "PMC1")],
-           _INTEL_COMMON + [
-               ("SP MFlops/s",
-                "1.0E-06*(FP_COMP_OPS_EXE_SSE_SINGLE_PRECISION*4.0"
-                "+FP_COMP_OPS_EXE_SSE_SCALAR_SINGLE)/time")]),
-        _g("L2",
-           [("L1D_REPL", "PMC0"), ("L1D_M_EVICT", "PMC1")],
-           _INTEL_COMMON + [
-               ("L2 Load [MBytes/s]", "1.0E-06*L1D_REPL*64.0/time"),
-               ("L2 Evict [MBytes/s]", "1.0E-06*L1D_M_EVICT*64.0/time"),
-               ("L2 bandwidth [MBytes/s]",
-                "1.0E-06*(L1D_REPL+L1D_M_EVICT)*64.0/time")]),
-        _g("L3",
-           [("L2_LINES_IN_ANY", "PMC0"), ("L2_LINES_OUT_ANY", "PMC1")],
-           _INTEL_COMMON + [
-               ("L3 Load [MBytes/s]", "1.0E-06*L2_LINES_IN_ANY*64.0/time"),
-               ("L3 Evict [MBytes/s]", "1.0E-06*L2_LINES_OUT_ANY*64.0/time"),
-               ("L3 bandwidth [MBytes/s]",
-                "1.0E-06*(L2_LINES_IN_ANY+L2_LINES_OUT_ANY)*64.0/time")]),
-        _g("MEM",
-           [("UNC_QMC_NORMAL_READS_ANY", "UPMC0"),
-            ("UNC_QMC_WRITES_FULL_ANY", "UPMC1")],
-           _INTEL_COMMON + [
-               ("Memory bandwidth [MBytes/s]",
-                "1.0E-06*(UNC_QMC_NORMAL_READS_ANY"
-                "+UNC_QMC_WRITES_FULL_ANY)*64.0/time")]),
-        _g("CACHE",
-           [("L1D_REPL", "PMC0"),
-            ("MEM_INST_RETIRED_LOADS", "PMC1"),
-            ("MEM_INST_RETIRED_STORES", "PMC2")],
-           _INTEL_COMMON + [
-               ("Data cache misses", "L1D_REPL"),
-               ("Data cache miss rate", "L1D_REPL/INSTR_RETIRED_ANY"),
-               ("Data cache miss ratio",
-                "L1D_REPL/(MEM_INST_RETIRED_LOADS+MEM_INST_RETIRED_STORES)")]),
-        _g("L2CACHE",
-           [("L2_RQSTS_REFERENCES", "PMC0"), ("L2_RQSTS_MISS", "PMC1")],
-           _INTEL_COMMON + [
-               ("L2 request rate", "L2_RQSTS_REFERENCES/INSTR_RETIRED_ANY"),
-               ("L2 miss rate", "L2_RQSTS_MISS/INSTR_RETIRED_ANY"),
-               ("L2 miss ratio", "L2_RQSTS_MISS/L2_RQSTS_REFERENCES")]),
-        _g("L3CACHE",
-           [("UNC_L3_HITS_ANY", "UPMC0"), ("UNC_L3_MISS_ANY", "UPMC1")],
-           _INTEL_COMMON + [
-               ("L3 miss rate", "UNC_L3_MISS_ANY/INSTR_RETIRED_ANY"),
-               ("L3 miss ratio",
-                "UNC_L3_MISS_ANY/(UNC_L3_HITS_ANY+UNC_L3_MISS_ANY)")]),
-        _g("DATA",
-           [("MEM_INST_RETIRED_LOADS", "PMC0"),
-            ("MEM_INST_RETIRED_STORES", "PMC1")],
-           _INTEL_COMMON + [
-               ("Load to store ratio",
-                "MEM_INST_RETIRED_LOADS/MEM_INST_RETIRED_STORES")]),
-        _g("BRANCH",
-           [("BR_INST_RETIRED_ALL_BRANCHES", "PMC0"),
-            ("BR_MISP_RETIRED_ALL_BRANCHES", "PMC1")],
-           _INTEL_COMMON + [
-               ("Branch rate",
-                "BR_INST_RETIRED_ALL_BRANCHES/INSTR_RETIRED_ANY"),
-               ("Branch misprediction rate",
-                "BR_MISP_RETIRED_ALL_BRANCHES/INSTR_RETIRED_ANY"),
-               ("Branch misprediction ratio",
-                "BR_MISP_RETIRED_ALL_BRANCHES/BR_INST_RETIRED_ALL_BRANCHES")]),
-        _g("TLB",
-           [("DTLB_MISSES_ANY", "PMC0")],
-           _INTEL_COMMON + [
-               ("DTLB miss rate", "DTLB_MISSES_ANY/INSTR_RETIRED_ANY")]),
-    ]}
-
-
-def _core2_groups() -> dict[str, GroupDef]:
-    return {g.name: g for g in [
-        _g("FLOPS_DP",
-           [("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE", "PMC0"),
-            ("SIMD_COMP_INST_RETIRED_SCALAR_DOUBLE", "PMC1")],
-           _INTEL_COMMON + [
-               ("DP MFlops/s",
-                "1.0E-06*(SIMD_COMP_INST_RETIRED_PACKED_DOUBLE*2.0"
-                "+SIMD_COMP_INST_RETIRED_SCALAR_DOUBLE)/time")]),
-        _g("FLOPS_SP",
-           [("SIMD_COMP_INST_RETIRED_PACKED_SINGLE", "PMC0"),
-            ("SIMD_COMP_INST_RETIRED_SCALAR_SINGLE", "PMC1")],
-           _INTEL_COMMON + [
-               ("SP MFlops/s",
-                "1.0E-06*(SIMD_COMP_INST_RETIRED_PACKED_SINGLE*4.0"
-                "+SIMD_COMP_INST_RETIRED_SCALAR_SINGLE)/time")]),
-        _g("L2",
-           [("L1D_REPL", "PMC0"), ("L1D_M_EVICT", "PMC1")],
-           _INTEL_COMMON + [
-               ("L2 bandwidth [MBytes/s]",
-                "1.0E-06*(L1D_REPL+L1D_M_EVICT)*64.0/time")]),
-        # Core 2's L2 is the last level: its line traffic IS the
-        # memory bandwidth.
-        _g("MEM",
-           [("L2_LINES_IN_ANY", "PMC0"), ("L2_LINES_OUT_ANY", "PMC1")],
-           _INTEL_COMMON + [
-               ("Memory bandwidth [MBytes/s]",
-                "1.0E-06*(L2_LINES_IN_ANY+L2_LINES_OUT_ANY)*64.0/time")]),
-        _g("CACHE",
-           [("L1D_REPL", "PMC0"), ("L1D_ALL_REF", "PMC1")],
-           _INTEL_COMMON + [
-               ("Data cache misses", "L1D_REPL"),
-               ("Data cache miss rate", "L1D_REPL/INSTR_RETIRED_ANY"),
-               ("Data cache miss ratio", "L1D_REPL/L1D_ALL_REF")]),
-        _g("L2CACHE",
-           [("L2_RQSTS_ANY", "PMC0"), ("L2_RQSTS_MISS", "PMC1")],
-           _INTEL_COMMON + [
-               ("L2 request rate", "L2_RQSTS_ANY/INSTR_RETIRED_ANY"),
-               ("L2 miss rate", "L2_RQSTS_MISS/INSTR_RETIRED_ANY"),
-               ("L2 miss ratio", "L2_RQSTS_MISS/L2_RQSTS_ANY")]),
-        _g("DATA",
-           [("INST_RETIRED_LOADS", "PMC0"), ("INST_RETIRED_STORES", "PMC1")],
-           _INTEL_COMMON + [
-               ("Load to store ratio",
-                "INST_RETIRED_LOADS/INST_RETIRED_STORES")]),
-        _g("BRANCH",
-           [("BR_INST_RETIRED_ANY", "PMC0"),
-            ("BR_INST_RETIRED_MISPRED", "PMC1")],
-           _INTEL_COMMON + [
-               ("Branch rate", "BR_INST_RETIRED_ANY/INSTR_RETIRED_ANY"),
-               ("Branch misprediction rate",
-                "BR_INST_RETIRED_MISPRED/INSTR_RETIRED_ANY"),
-               ("Branch misprediction ratio",
-                "BR_INST_RETIRED_MISPRED/BR_INST_RETIRED_ANY")]),
-        _g("TLB",
-           [("DTLB_MISSES_ANY", "PMC0")],
-           _INTEL_COMMON + [
-               ("DTLB miss rate", "DTLB_MISSES_ANY/INSTR_RETIRED_ANY")]),
-    ]}
-
-
-def _atom_groups() -> dict[str, GroupDef]:
-    core2 = _core2_groups()
-    keep = ("FLOPS_DP", "FLOPS_SP", "L2CACHE", "BRANCH")
-    groups = {name: core2[name] for name in keep}
-    groups["MEM"] = _g(
-        "MEM",
-        [("L2_LINES_IN_ANY", "PMC0"), ("L2_LINES_OUT_ANY", "PMC1")],
-        _INTEL_COMMON + [
-            ("Memory bandwidth [MBytes/s]",
-             "1.0E-06*(L2_LINES_IN_ANY+L2_LINES_OUT_ANY)*64.0/time")])
-    return groups
-
-
-def _pentium_m_groups() -> dict[str, GroupDef]:
-    # No fixed counters: runtime/CPI need the two general counters, so
-    # payload groups report against wall time only.
-    common = [("Runtime [s]", "time")]
-    return {g.name: g for g in [
-        _g("FLOPS_DP",
-           [("EMON_SSE_SSE2_COMP_INST_RETIRED_PACKED_DP", "PMC0"),
-            ("EMON_SSE_SSE2_COMP_INST_RETIRED_SCALAR_DP", "PMC1")],
-           common + [
-               ("DP MFlops/s",
-                "1.0E-06*(EMON_SSE_SSE2_COMP_INST_RETIRED_PACKED_DP*2.0"
-                "+EMON_SSE_SSE2_COMP_INST_RETIRED_SCALAR_DP)/time")]),
-        _g("MEM",
-           [("L2_LINES_IN", "PMC0"), ("L2_LINES_OUT", "PMC1")],
-           common + [
-               ("Memory bandwidth [MBytes/s]",
-                "1.0E-06*(L2_LINES_IN+L2_LINES_OUT)*64.0/time")]),
-        _g("BRANCH",
-           [("BR_INST_RETIRED", "PMC0"), ("BR_MISPRED_RETIRED", "PMC1")],
-           common + [
-               ("Branch misprediction ratio",
-                "BR_MISPRED_RETIRED/BR_INST_RETIRED")]),
-        _g("DATA",
-           [("INSTR_RETIRED_ANY", "PMC0"), ("DATA_MEM_REFS", "PMC1")],
-           common + [
-               ("Memory references per instruction",
-                "DATA_MEM_REFS/INSTR_RETIRED_ANY")]),
-    ]}
-
-
-def _amd_groups() -> dict[str, GroupDef]:
-    return {g.name: g for g in [
-        _g("FLOPS_DP",
-           _AMD_FIXED + [("SSE_RETIRED_PACKED_DOUBLE", "PMC2"),
-                         ("SSE_RETIRED_SCALAR_DOUBLE", "PMC3")],
-           _AMD_COMMON + [
-               ("DP MFlops/s",
-                "1.0E-06*(SSE_RETIRED_PACKED_DOUBLE*2.0"
-                "+SSE_RETIRED_SCALAR_DOUBLE)/time")]),
-        _g("FLOPS_SP",
-           _AMD_FIXED + [("SSE_RETIRED_PACKED_SINGLE", "PMC2"),
-                         ("SSE_RETIRED_SCALAR_SINGLE", "PMC3")],
-           _AMD_COMMON + [
-               ("SP MFlops/s",
-                "1.0E-06*(SSE_RETIRED_PACKED_SINGLE*4.0"
-                "+SSE_RETIRED_SCALAR_SINGLE)/time")]),
-        _g("L2",
-           _AMD_FIXED + [("DATA_CACHE_REFILLS_L2", "PMC2"),
-                         ("DATA_CACHE_EVICTED_ALL", "PMC3")],
-           _AMD_COMMON + [
-               ("L2 bandwidth [MBytes/s]",
-                "1.0E-06*(DATA_CACHE_REFILLS_L2"
-                "+DATA_CACHE_EVICTED_ALL)*64.0/time")]),
-        _g("MEM",
-           _AMD_FIXED + [("DRAM_ACCESSES_DCT_READS", "PMC2"),
-                         ("DRAM_ACCESSES_DCT_WRITES", "PMC3")],
-           _AMD_COMMON + [
-               ("Memory bandwidth [MBytes/s]",
-                "1.0E-06*(DRAM_ACCESSES_DCT_READS"
-                "+DRAM_ACCESSES_DCT_WRITES)*64.0/time")]),
-        _g("CACHE",
-           _AMD_FIXED + [("DATA_CACHE_REFILLS_L2", "PMC2"),
-                         ("DATA_CACHE_REFILLS_NORTHBRIDGE", "PMC3")],
-           _AMD_COMMON + [
-               ("Data cache miss rate",
-                "(DATA_CACHE_REFILLS_L2+DATA_CACHE_REFILLS_NORTHBRIDGE)"
-                "/RETIRED_INSTRUCTIONS")]),
-        _g("L2CACHE",
-           _AMD_FIXED + [("L2_REQUESTS_ALL", "PMC2"),
-                         ("L2_MISSES_ALL", "PMC3")],
-           _AMD_COMMON + [
-               ("L2 request rate", "L2_REQUESTS_ALL/RETIRED_INSTRUCTIONS"),
-               ("L2 miss rate", "L2_MISSES_ALL/RETIRED_INSTRUCTIONS"),
-               ("L2 miss ratio", "L2_MISSES_ALL/L2_REQUESTS_ALL")]),
-        _g("L3",
-           _AMD_FIXED + [("L3_FILLS_ALL_CORES", "PMC2")],
-           _AMD_COMMON + [
-               ("L3 bandwidth [MBytes/s]",
-                "1.0E-06*L3_FILLS_ALL_CORES*64.0/time")]),
-        _g("L3CACHE",
-           _AMD_FIXED + [("L3_READ_REQUEST_ALL_CORES", "PMC2"),
-                         ("L3_MISSES_ALL_CORES", "PMC3")],
-           _AMD_COMMON + [
-               ("L3 miss rate",
-                "L3_MISSES_ALL_CORES/RETIRED_INSTRUCTIONS"),
-               ("L3 miss ratio",
-                "L3_MISSES_ALL_CORES/L3_READ_REQUEST_ALL_CORES")]),
-        _g("DATA",
-           _AMD_FIXED + [("RETIRED_LOADS", "PMC2"),
-                         ("RETIRED_STORES", "PMC3")],
-           _AMD_COMMON + [
-               ("Load to store ratio", "RETIRED_LOADS/RETIRED_STORES")]),
-        _g("BRANCH",
-           _AMD_FIXED + [("RETIRED_BRANCH_INSTR", "PMC2"),
-                         ("RETIRED_MISPREDICTED_BRANCH_INSTR", "PMC3")],
-           _AMD_COMMON + [
-               ("Branch rate",
-                "RETIRED_BRANCH_INSTR/RETIRED_INSTRUCTIONS"),
-               ("Branch misprediction ratio",
-                "RETIRED_MISPREDICTED_BRANCH_INSTR/RETIRED_BRANCH_INSTR")]),
-        _g("TLB",
-           _AMD_FIXED + [("DTLB_L2_MISS_ALL", "PMC2")],
-           _AMD_COMMON + [
-               ("DTLB miss rate",
-                "DTLB_L2_MISS_ALL/RETIRED_INSTRUCTIONS")]),
-    ]}
-
-
-def _power9_groups() -> dict[str, GroupDef]:
-    # No fixed-counter file: the run-latch pair PM_RUN_INST_CMPL /
-    # PM_RUN_CYC is restricted to the last two general counters, so
-    # every group spends PMC4/PMC5 on it ("always counted").  Payload
-    # events come first, the pair last.  POWER9 cache lines are 128B.
-    fixed = [("PM_RUN_INST_CMPL", "PMC4"), ("PM_RUN_CYC", "PMC5")]
-    common = [
-        ("Runtime [s]", "PM_RUN_CYC/clock"),
-        ("CPI", "PM_RUN_CYC/PM_RUN_INST_CMPL"),
-    ]
-    return {g.name: g for g in [
-        _g("FLOPS_DP",
-           [("PM_VECTOR_FLOP_CMPL", "PMC0"),
-            ("PM_SCALAR_FLOP_CMPL", "PMC1")] + fixed,
-           common + [
-               ("DP MFlops/s",
-                "1.0E-06*(PM_VECTOR_FLOP_CMPL*2.0"
-                "+PM_SCALAR_FLOP_CMPL)/time")]),
-        _g("FLOPS_SP",
-           [("PM_VECTOR_FLOP_SP_CMPL", "PMC0"),
-            ("PM_SCALAR_FLOP_SP_CMPL", "PMC1")] + fixed,
-           common + [
-               ("SP MFlops/s",
-                "1.0E-06*(PM_VECTOR_FLOP_SP_CMPL*4.0"
-                "+PM_SCALAR_FLOP_SP_CMPL)/time")]),
-        _g("MEM",
-           [("PM_DATA_FROM_LMEM", "PMC0"),
-            ("PM_DATA_TO_LMEM", "PMC1")] + fixed,
-           common + [
-               ("Memory bandwidth [MBytes/s]",
-                "1.0E-06*(PM_DATA_FROM_LMEM"
-                "+PM_DATA_TO_LMEM)*128.0/time")]),
-        _g("CACHE",
-           [("PM_LD_MISS_L1", "PMC0"),
-            ("PM_LD_CMPL", "PMC1"),
-            ("PM_ST_CMPL", "PMC2")] + fixed,
-           common + [
-               ("Data cache misses", "PM_LD_MISS_L1"),
-               ("Data cache miss rate", "PM_LD_MISS_L1/PM_RUN_INST_CMPL"),
-               ("Data cache miss ratio",
-                "PM_LD_MISS_L1/(PM_LD_CMPL+PM_ST_CMPL)")]),
-        _g("DATA",
-           [("PM_LD_CMPL", "PMC0"), ("PM_ST_CMPL", "PMC1")] + fixed,
-           common + [
-               ("Load to store ratio", "PM_LD_CMPL/PM_ST_CMPL")]),
-        _g("BRANCH",
-           [("PM_BR_CMPL", "PMC0"), ("PM_BR_MPRED_CMPL", "PMC1")] + fixed,
-           common + [
-               ("Branch rate", "PM_BR_CMPL/PM_RUN_INST_CMPL"),
-               ("Branch misprediction rate",
-                "PM_BR_MPRED_CMPL/PM_RUN_INST_CMPL"),
-               ("Branch misprediction ratio",
-                "PM_BR_MPRED_CMPL/PM_BR_CMPL")]),
-        _g("TLB",
-           [("PM_DTLB_MISS", "PMC0")] + fixed,
-           common + [
-               ("DTLB miss rate", "PM_DTLB_MISS/PM_RUN_INST_CMPL")]),
-    ]}
-
-
-_FAMILY_BUILDERS = {
-    "core2": _core2_groups,
-    "core2duo": _core2_groups,
-    "nehalem_ep": _nehalem_groups,
-    "nehalem_ws": _nehalem_groups,
-    "westmere_ep": _nehalem_groups,
-    "atom": _atom_groups,
-    "pentium_m": _pentium_m_groups,
-    "banias": _pentium_m_groups,
-    "amd_k8": _amd_groups,
-    "amd_istanbul": _amd_groups,
-    "power9": _power9_groups,
-}
-
-
-def builtin_groups_for(spec: ArchSpec) -> dict[str, GroupDef]:
-    """The built-in (code-defined) group catalog for one architecture."""
-    try:
-        builder = _FAMILY_BUILDERS[spec.name]
-    except KeyError:
-        raise GroupError(f"no group definitions for arch {spec.name!r}") from None
-    return builder()
-
-
-def file_groups_for(spec: ArchSpec) -> dict[str, GroupDef] | None:
-    """Groups loaded from the shipped ``groupfiles/<arch>/*.txt``
-    directory (the likwid convention), or None when absent."""
+def file_groups_for(spec: ArchSpec) -> dict[str, GroupDef]:
+    """Groups loaded from the architecture's ``groupfiles/<arch>/*.txt``
+    directory (the likwid convention)."""
     from repro.core.perfctr.groupfile import groupfile_dir, load_group_dir
-    arch_dir = groupfile_dir(spec.name)
-    if not arch_dir.is_dir():
-        return None
-    parsed = load_group_dir(arch_dir)
+    parsed = load_group_dir(groupfile_dir(spec.name))
     if not parsed:
-        return None
-    groups: dict[str, GroupDef] = {}
-    for name, pg in parsed.items():
-        groups[name] = GroupDef(
-            name=name,
-            description=pg.short,
-            events=pg.event_specs(),
-            metrics=tuple(pg.rewritten_metrics()))
-    return groups
+        raise GroupError(f"no group definitions for arch {spec.name!r}")
+    return {name: GroupDef(name=name,
+                           description=pg.short,
+                           events=pg.event_specs(),
+                           metrics=tuple(pg.rewritten_metrics()))
+            for name, pg in parsed.items()}
 
 
 def groups_for(spec: ArchSpec) -> dict[str, GroupDef]:
     """All groups available on one architecture (validated against its
     event table, so an arch without, say, an L3 never offers L3 groups).
 
-    Group definitions come from the architecture's group-file directory
-    when it exists — users can drop their own ``.txt`` files there, as
-    with the real tool — with the built-in catalog as fallback.
+    Users can drop their own ``.txt`` files into the architecture's
+    group-file directory, as with the real tool.
     """
-    groups = file_groups_for(spec)
-    if groups is None:
-        groups = builtin_groups_for(spec)
-    available: dict[str, GroupDef] = {}
-    for name, group in groups.items():
-        if all(e.event in spec.events for e in group.events):
-            available[name] = group
-    return available
+    return {name: group for name, group in file_groups_for(spec).items()
+            if all(e.event in spec.events for e in group.events)}
 
 
 def lookup_group(spec: ArchSpec, name: str) -> GroupDef:

@@ -583,12 +583,3 @@ class LikwidPerfCtr:
 
     def available_events(self) -> list[str]:
         return self.machine.spec.events.names()
-
-
-def cycles_channel_count(result: MeasurementResult, cpu: int) -> float:
-    """Unhalted core cycles on a CPU (helper for tests)."""
-    for name in ("CPU_CLK_UNHALTED_CORE", "CPU_CLOCKS_UNHALTED",
-                 "PM_RUN_CYC"):
-        if name in result.counts[cpu]:
-            return result.counts[cpu][name]
-    return 0.0

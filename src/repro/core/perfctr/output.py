@@ -88,13 +88,3 @@ def render_result(machine: SimMachine, result: MeasurementResult,
     if metric_table:
         parts.append(metric_table)
     return "\n".join(parts)
-
-
-def render_full_report(machine: SimMachine,
-                       results: dict[str | None, MeasurementResult],
-                       group_name: str | None = None) -> str:
-    """Header plus one section per region (None key = whole run)."""
-    parts = [render_header(machine, group_name)]
-    for region, result in results.items():
-        parts.append(render_result(machine, result, region=region))
-    return "\n".join(parts)

@@ -61,8 +61,6 @@ OP_WRITE = 1    # cpu/address/before/after describe one MSR write
 OP_LOCK = 2     # cpu=socket, address=owner pid, before=epoch
 OP_UNLOCK = 3   # cpu=socket, address=owner pid, before=epoch
 
-_OP_NAMES = {OP_WRITE: "write", OP_LOCK: "lock", OP_UNLOCK: "unlock"}
-
 
 @dataclass(frozen=True)
 class JournalRecord:
@@ -75,10 +73,6 @@ class JournalRecord:
     address: int      # MSR address for writes; owner pid for locks
     before: int       # previous register value; epoch for lock ops
     after: int        # value being written; 0 for lock ops
-
-    @property
-    def op_name(self) -> str:
-        return _OP_NAMES.get(self.op, f"op{self.op}")
 
     def encode(self) -> bytes:
         payload = _PAYLOAD.pack(self.seq, self.epoch, self.op, 0,
@@ -107,13 +101,6 @@ class JournalScan:
 
     records: list[JournalRecord]
     torn_bytes: int = 0       # truncated tail garbage (expected on crash)
-
-    @property
-    def empty(self) -> bool:
-        return not self.records
-
-    def write_records(self) -> list[JournalRecord]:
-        return [r for r in self.records if r.op == OP_WRITE]
 
     def outstanding_locks(self) -> dict[int, tuple[int, int]]:
         """socket -> (owner pid, epoch) of locks acquired but never
@@ -247,10 +234,6 @@ class MsrJournal:
     def begin_epoch(self) -> int:
         """Allocate the next session epoch (monotonic per journal)."""
         self._epoch += 1
-        return self._epoch
-
-    @property
-    def epoch(self) -> int:
         return self._epoch
 
     # -- appends ---------------------------------------------------------------

@@ -88,11 +88,6 @@ class SocketLockTable:
         """Unconditional removal (recovery engine only)."""
         return self._locks.pop(socket, None)
 
-    def stale(self) -> list[SocketLock]:
-        """Held locks whose owner is no longer alive."""
-        return [lock for lock in self._locks.values()
-                if not self.procs.alive(lock.owner_pid)]
-
     def acquire_waitable(self, socket: int, cpu: int, pid: int,
                          epoch: int, *, queue: "FairWaitQueue",
                          tenant: str = "", now: float = 0.0,

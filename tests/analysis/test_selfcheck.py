@@ -1,7 +1,7 @@
 """Self-check: the shipped configuration matrix lints clean.
 
 This is the tier-1 guarantee behind ``repro-lint --all --strict``:
-every builtin and file-backed group on every architecture produces
+every shipped group file on every architecture produces
 zero errors and zero warnings (NOTEs — e.g. CPI's raw-counter
 denominator — are informational and expected).
 """

@@ -52,6 +52,24 @@ class TestPerfctrCmd:
         out = capsys.readouterr().out
         assert "FLOPS_DP" in out and "L3" not in out.split()
 
+    def test_list_groups_includes_user_dropped_group(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A group file whose name is not a paper group is listed with
+        its SHORT line."""
+        import repro.core.perfctr.groupfile as gf
+        custom_dir = tmp_path / "nehalem_ep"
+        custom_dir.mkdir()
+        shipped = gf.groupfile_dir("nehalem_ep") / "MEM.txt"
+        (custom_dir / "MEM.txt").write_text(shipped.read_text())
+        (custom_dir / "MYGROUP.txt").write_text(
+            "SHORT My custom view\n\nEVENTSET\nPMC0  L1D_REPL\n\n"
+            "METRICS\nMisses per cycle  PMC0/FIXC1\n")
+        monkeypatch.setattr(gf, "GROUPFILE_ROOT", tmp_path)
+        assert perfctr_cmd.main(["-a", "--arch", "nehalem_ep"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["MEM\tMain memory bandwidth in MBytes/s",
+                         "MYGROUP\tMy custom view"]
+
     def test_missing_group_is_usage_error(self, capsys):
         assert perfctr_cmd.main(["-c", "0", "--arch", "core2"]) == 2
 

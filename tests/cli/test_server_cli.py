@@ -22,14 +22,12 @@ def live_server():
     """A real likwid-server listener on an ephemeral port, hosted on
     a background thread so the sync CLI client can talk to it."""
     started = threading.Event()
-    stop = None
+    stop = loop = None
     endpoint = {}
 
     def run():
-        nonlocal stop
-
         async def body():
-            nonlocal stop
+            nonlocal stop, loop
             server = ReproServer.from_specs(
                 [NodeSpec(name="node000", arch="westmere_ep"),
                  NodeSpec(name="node001", arch="westmere_ep")],
@@ -38,6 +36,7 @@ def live_server():
             host, port = await proto.start()
             endpoint["addr"] = f"{host}:{port}"
             stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
             started.set()
             await stop.wait()
             await proto.close()
@@ -48,8 +47,10 @@ def live_server():
     loop_thread.start()
     assert started.wait(timeout=10), "server thread failed to start"
     yield endpoint["addr"]
-    stop.set()
+    # asyncio.Event is not thread-safe: set it from inside its loop.
+    loop.call_soon_threadsafe(stop.set)
     loop_thread.join(timeout=10)
+    assert not loop_thread.is_alive(), "server thread did not stop"
 
 
 class TestSubmit:

@@ -4,21 +4,30 @@ import pytest
 
 from repro.core.perfctr.counters import CounterMap, validate_assignments
 from repro.core.perfctr.formula import formula_variables
-from repro.core.perfctr.groups import (GROUP_FUNCTIONS, groups_for,
-                                       lookup_group)
+from repro.core.perfctr.groups import groups_for, lookup_group
 from repro.errors import GroupError
 from repro.hw.arch import ARCH_SPECS, get_arch
+
+# The paper's table of event sets (§II.A).
+PAPER_GROUPS = {"FLOPS_DP", "FLOPS_SP", "L2", "L3", "MEM", "CACHE",
+                "L2CACHE", "L3CACHE", "DATA", "BRANCH", "TLB"}
 
 
 class TestCatalog:
     def test_paper_group_table_complete(self):
-        assert set(GROUP_FUNCTIONS) == {
-            "FLOPS_DP", "FLOPS_SP", "L2", "L3", "MEM", "CACHE",
-            "L2CACHE", "L3CACHE", "DATA", "BRANCH", "TLB"}
+        """Across all architectures the shipped groups are exactly the
+        paper's table, and each name has one SHORT description."""
+        descriptions: dict[str, set[str]] = {}
+        for arch in ARCH_SPECS:
+            for name, group in groups_for(get_arch(arch)).items():
+                descriptions.setdefault(name, set()).add(group.description)
+        assert set(descriptions) == PAPER_GROUPS
+        for name, shorts in descriptions.items():
+            assert len(shorts) == 1, (name, shorts)
 
     def test_nehalem_offers_all_groups(self):
         groups = groups_for(get_arch("nehalem_ep"))
-        assert set(groups) == set(GROUP_FUNCTIONS)
+        assert set(groups) == PAPER_GROUPS
 
     def test_core2_has_no_l3_groups(self):
         """Paper: groups are provided 'as long as the native events
