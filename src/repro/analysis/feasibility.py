@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from repro.analysis.checks import assignment_diagnostic
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.core.perfctr.counters import CounterMap
+from repro.core.perfctr.counters import counter_map_for
 from repro.core.perfctr.events import EventSpec
 from repro.errors import CounterError, EventError
 from repro.hw.events import CounterScope, EventDef
@@ -48,7 +48,7 @@ def lint_events(spec: ArchSpec, event_specs: Iterable[EventSpec],
                 *, group: str | None = None,
                 locus: str | None = None) -> list[Diagnostic]:
     """All feasibility diagnostics for one event set on one arch."""
-    counters = CounterMap(spec)
+    counters = counter_map_for(spec)
     diags: list[Diagnostic] = []
 
     def diag(code: str, severity: Severity, message: str) -> None:

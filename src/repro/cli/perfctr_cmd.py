@@ -105,8 +105,8 @@ def _run(args: argparse.Namespace) -> int:
             print(f"{name}\t{group.description}")
         return 0
     if args.list_events:
-        from repro.core.perfctr.counters import CounterMap
-        counters = CounterMap(machine.spec)
+        from repro.core.perfctr.counters import counter_map_for
+        counters = counter_map_for(machine.spec)
         names = []
         for cls in ("PMC", "FIXC", "UPMC", "UFIXC"):
             names.extend(counters.names(cls))

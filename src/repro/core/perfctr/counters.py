@@ -22,7 +22,7 @@ from repro.analysis.checks import assignment_diagnostic, encoding_diagnostics
 from repro.errors import CounterError
 from repro.hw import registers as regs
 from repro.hw.events import EventDef, EventTable
-from repro.hw.spec import ArchSpec
+from repro.hw.spec import ArchSpec, per_spec
 from repro.core.perfctr.events import EventOptions, EventSpec
 from repro.oskern.msr_driver import MsrDriver
 
@@ -43,7 +43,8 @@ class CounterInfo:
 
 
 class CounterMap:
-    """All counters of one architecture, by name."""
+    """All counters of one architecture, by name (immutable once
+    built; obtain the shared instance with :func:`counter_map_for`)."""
 
     def __init__(self, spec: ArchSpec):
         self.spec = spec
@@ -81,6 +82,13 @@ class CounterMap:
         return sorted((n for n, c in self._counters.items()
                        if cls is None or c.cls == cls),
                       key=lambda n: self._counters[n].index)
+
+
+@per_spec
+def counter_map_for(spec: ArchSpec) -> CounterMap:
+    """The architecture's counter map, built once per ArchSpec and
+    shared by every perfctr, session and tool that needs it."""
+    return CounterMap(spec)
 
 
 @dataclass(frozen=True)

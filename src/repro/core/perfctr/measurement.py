@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 
 from repro import trace as _trace
 from repro.core.affinity import parse_corelist
-from repro.core.perfctr.counters import (Assignment, CounterMap, RetryPolicy,
+from repro.core.perfctr.counters import (Assignment, RetryPolicy,
                                          auto_fixed_assignments,
-                                         counter_delta, validate_assignments)
+                                         counter_delta, counter_map_for,
+                                         validate_assignments)
 from repro.core.perfctr.events import is_event_string, parse_event_string
-from repro.core.perfctr.formula import evaluate
+from repro.core.perfctr.formula import evaluate_ast
 from repro.core.perfctr.groups import GroupDef, lookup_group
 from repro.errors import (CounterError, DegradedError, MsrIOError,
                           MsrPermissionError, SocketLockError)
@@ -141,7 +142,7 @@ class PerfCtrSession:
         self.assignments = assignments
         self.group = group
         self.strict_io = strict_io
-        self.counters = CounterMap(machine.spec)
+        self.counters = counter_map_for(machine.spec)
         # All register traffic flows through an access backend
         # (direct-msr by default); the backend owns the event-level
         # programming engine, exposed as ``programmer`` for
@@ -495,8 +496,8 @@ def derive_metrics(result: MeasurementResult, group: GroupDef,
         variables["time"] = region_time if region_time > 0 else float("nan")
         variables["clock"] = clock_hz
         result.metrics[cpu] = {
-            label: evaluate(formula, variables)
-            for label, formula in group.metrics
+            label: evaluate_ast(tree, variables, formula=formula)
+            for label, formula, tree in group.compiled_metrics
         }
 
 
@@ -524,7 +525,7 @@ class LikwidPerfCtr:
         self._backend = backend
         self.access_mode = backend.capabilities.name if backend is not None \
             else access_mode
-        self.counters = CounterMap(machine.spec)
+        self.counters = counter_map_for(machine.spec)
         self.strict_io = strict_io
         self.retry_policy = retry_policy
 

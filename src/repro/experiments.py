@@ -59,7 +59,7 @@ def table1_comparison() -> list[ComparisonRow]:
     event abstraction, API style) come from the actual objects; the
     judgement wording follows the paper.
     """
-    from repro.core.perfctr.counters import CounterMap
+    from repro.core.perfctr.counters import counter_map_for
     from repro.core.perfctr.groups import groups_for
     from repro.hw.arch import get_arch
     from repro.papi import PAPI_VER_CURRENT, PapiLibrary
@@ -67,7 +67,7 @@ def table1_comparison() -> list[ComparisonRow]:
 
     spec = get_arch("nehalem_ep")
     machine = SimMachine(spec)
-    counters = CounterMap(spec)
+    counters = counter_map_for(spec)
     papi = PapiLibrary(machine)
     papi.PAPI_library_init(PAPI_VER_CURRENT)
 

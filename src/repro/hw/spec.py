@@ -9,7 +9,10 @@ and the performance model uses its :class:`MachinePerf` parameters.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.hw.apic import ApicLayout, layout_for
 from repro.hw.events import EventTable
@@ -234,3 +237,28 @@ class ArchSpec:
 
     def last_level_cache(self) -> CacheSpec:
         return self.data_caches()[-1]
+
+
+_T = TypeVar("_T")
+
+
+def per_spec(build: Callable[[ArchSpec], _T]) -> Callable[[ArchSpec], _T]:
+    """Memoize ``build(spec)`` once per :class:`ArchSpec`.
+
+    An ArchSpec cannot be hashed (its :class:`EventTable` is a dict
+    wrapper), but the registry holds exactly one spec per arch, so the
+    memo is keyed by ``spec.name`` and a hit must be the *same* spec
+    object; a different spec of the same name (a test's modified copy)
+    rebuilds and replaces the entry.  Use it only for values derived
+    purely from the spec and never mutated by callers."""
+    memo: dict[str, tuple[ArchSpec, _T]] = {}
+
+    @functools.wraps(build)
+    def cached(spec: ArchSpec) -> _T:
+        hit = memo.get(spec.name)
+        if hit is not None and hit[0] is spec:
+            return hit[1]
+        value = build(spec)
+        memo[spec.name] = (spec, value)
+        return value
+    return cached

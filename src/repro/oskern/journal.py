@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from repro import trace as _trace
 from repro.errors import JournalCorruptError, JournalError
 from repro.hw import registers as regs
-from repro.hw.spec import ArchSpec
+from repro.hw.spec import ArchSpec, per_spec
 from repro.trace.metrics import MetricsRegistry
 
 #: File header: magic + format version (little-endian u16) + padding.
@@ -114,6 +114,7 @@ class JournalScan:
         return held
 
 
+@per_spec
 def state_mutating_addresses(spec: ArchSpec) -> frozenset[int]:
     """Every MSR address the tool layer may legitimately mutate on an
     architecture: PERFEVTSEL/config registers, the counter registers
@@ -124,7 +125,8 @@ def state_mutating_addresses(spec: ArchSpec) -> frozenset[int]:
     This is the journal's write-surface classification: the journaling
     driver API refuses addresses outside it (a raw register the tools
     have no business mutating), and the LK5xx lint statically verifies
-    the classification covers every register the programmer writes."""
+    the classification covers every register the programmer writes.
+    Computed once per ArchSpec: every driver of an arch shares it."""
     pmu = spec.pmu
     addrs: set[int] = set()
     for i in range(pmu.num_pmcs):

@@ -205,7 +205,7 @@ class MsrFile:
         # Bound-method caches for the journaled-write hot path (the
         # journal and register space never change under an open fd).
         self._peek = driver.machine.msr[cpu].peek
-        self._mutable = driver.mutable_addresses
+        self._mutable = state_mutating_addresses(driver.machine.spec)
         self._record_write = driver.journal.record_write \
             if driver.journal is not None else None
 
@@ -290,19 +290,17 @@ class MsrFile:
         the architecture's state-mutating classification (the LK5xx
         lint statically verifies the tool layer only writes through
         here)."""
-        driver = self._driver
-        journal = driver.journal
-        if journal is None:
+        record = self._record_write
+        if record is None:
             self.write_msr(address, value)
             return
         if address not in self._mutable:
             raise JournalError(
                 f"journaled write to MSR 0x{address:X}, which is not a "
-                f"state-mutating register of {driver.machine.name} "
+                f"state-mutating register of {self._machine.name} "
                 f"(classifier bug — see docs/linting.md LK502)")
-        self._record_write(driver.current_epoch, self.cpu, address,
-                           self._peek(address),
-                           value & 0xFFFFFFFFFFFFFFFF)
+        record(self._driver.current_epoch, self.cpu, address,
+               self._peek(address), value & 0xFFFFFFFFFFFFFFFF)
         self.write_msr(address, value)
 
     def close(self) -> None:
@@ -372,15 +370,6 @@ class MsrDriver:
         self._open_epochs: set[int] = set()
         self._epoch_counter = 0
         self._process_dead = False
-        self._mutable: frozenset[int] | None = None
-
-    @property
-    def mutable_addresses(self) -> frozenset[int]:
-        """The architecture's state-mutating register classification
-        (journal write surface), computed once per driver."""
-        if self._mutable is None:
-            self._mutable = state_mutating_addresses(self.machine.spec)
-        return self._mutable
 
     # -- process model ---------------------------------------------------------
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.perfctr.counters import (Assignment, CounterMap,
-                                         CounterProgrammer)
+from repro.core.perfctr.counters import (Assignment, CounterProgrammer,
+                                         counter_map_for)
 from repro.errors import PapiError
 from repro.hw.events import CounterScope
 from repro.hw.machine import SimMachine
@@ -70,7 +70,7 @@ class PapiLibrary:
         self.machine = machine
         self.cpu = cpu
         self.driver = driver or MsrDriver(machine)
-        self.counters = CounterMap(machine.spec)
+        self.counters = counter_map_for(machine.spec)
         self.programmer = CounterProgrammer(self.driver, self.counters)
         self._initialised = False
         self._eventsets: dict[int, _EventSet] = {}

@@ -313,12 +313,28 @@ class ProtocolServer:
             return None
         return line
 
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Connection callback: register the connection before its
+        handler task first runs, so close() and abort() also reach a
+        connection whose handler has not started yet."""
+        self._conns.add(writer)
+        task = asyncio.get_running_loop().create_task(
+            self.handle_connection(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._connection_done)
+
+    def _connection_done(self, task: asyncio.Task) -> None:
+        """Forget a finished handler and report what it raised (the
+        loop's exception handler, as asyncio's own callback does)."""
+        self._conn_tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            task.get_loop().call_exception_handler({
+                "message": "connection handler failed",
+                "exception": task.exception(), "task": task})
+
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conns.add(writer)
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             while True:
                 try:
@@ -358,8 +374,6 @@ class ProtocolServer:
             pass
         finally:
             self._conns.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -372,18 +386,21 @@ class ProtocolServer:
         port 0 picks a free port, the test-friendly default."""
         self.server.start()
         self._draining = False
-        self._tcp = await asyncio.start_server(
-            self.handle_connection, host, port)
+        self._tcp = await asyncio.start_server(self._accept, host, port)
         bound = self._tcp.sockets[0].getsockname()
         return bound[0], bound[1]
 
     async def close(self) -> None:
+        """Graceful shutdown: stop accepting, drain every node to idle
+        (in-flight waits get their replies), then close the client
+        connections that are still open — including one whose client
+        gave up mid-request and never hung up — so no server-side
+        socket outlives the server."""
         self._draining = True
         if self._tcp is not None:
             self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
         await self.server.close()
+        await self._drop_connections(abort=False)
 
     async def abort(self) -> dict[str, NodeResidue]:
         """Simulated SIGKILL: the listener closes, every live client
@@ -394,20 +411,29 @@ class ProtocolServer:
         self._draining = True
         if self._tcp is not None:
             self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
-        for w in list(self._conns):
-            transport = w.transport
-            if transport is not None:
-                transport.abort()
+        await self._drop_connections(abort=True)
+        return await self.server.crash()
+
+    async def _drop_connections(self, *, abort: bool) -> None:
+        """Close (FIN) or abort (RST) every live connection and wait
+        until each is closed and its handler task done, then for the
+        listener (which since Python 3.12 waits for its connections)."""
+        writers = list(self._conns)
+        for w in writers:
+            if not abort:
+                w.close()
+            elif w.transport is not None:
+                w.transport.abort()
         tasks = list(self._conn_tasks)
         for t in tasks:
             t.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, *(w.wait_closed() for w in writers),
+                             return_exceptions=True)
         self._conns.clear()
         self._conn_tasks.clear()
-        return await self.server.crash()
+        if self._tcp is not None:
+            await self._tcp.wait_closed()
+            self._tcp = None
 
     async def serve_forever(self) -> None:
         if self._tcp is None:

@@ -1,6 +1,7 @@
 """Tests for the performance-group file format and loader."""
 
 import json
+import os
 import textwrap
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.hw.arch import ARCH_SPECS, get_arch
 # deliberate change to a shipped group file updates this snapshot in
 # the same change.
 GOLDEN_CATALOG = Path(__file__).parent / "golden" / "group_catalog.json"
+SHIPPED_ROOT = groupfile_dir("nehalem_ep").parent
 
 
 def catalog_snapshot(groups) -> dict:
@@ -138,3 +140,73 @@ class TestShippedFiles:
                      Channel.CORE_CYCLES: 8e6}}))
         assert result.metric(0, "CPI") == 2.0
         assert result.metric(0, "DP MFlops/s") > 0
+
+
+class TestCatalogMemo:
+    """The per-arch catalog memo must see every change a user can make
+    to the group directory: it is keyed on the directory and each
+    file's name, mtime and size."""
+
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch):
+        import repro.core.perfctr.groupfile as gf
+        (tmp_path / "nehalem_ep").mkdir()
+        (tmp_path / "nehalem_ep" / "FLOPS_DP.txt").write_text(SAMPLE)
+        monkeypatch.setattr(gf, "GROUPFILE_ROOT", tmp_path)
+        return tmp_path
+
+    def test_edited_file_changes_the_metric(self, root):
+        spec = get_arch("nehalem_ep")
+        path = root / "nehalem_ep" / "FLOPS_DP.txt"
+        before = dict(groups_for(spec)["FLOPS_DP"].metrics)["CPI"]
+        assert before == "CPU_CLK_UNHALTED_CORE/INSTR_RETIRED_ANY"
+        # Same size on purpose: only the mtime tells the edit apart.
+        path.write_text(SAMPLE.replace("FIXC1/FIXC0", "FIXC0/FIXC1"))
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        after = dict(groups_for(spec)["FLOPS_DP"].metrics)["CPI"]
+        assert after == "INSTR_RETIRED_ANY/CPU_CLK_UNHALTED_CORE"
+
+    def test_new_file_appears_and_removed_file_disappears(self, root):
+        spec = get_arch("nehalem_ep")
+        assert set(groups_for(spec)) == {"FLOPS_DP"}
+        extra = root / "nehalem_ep" / "MYGROUP.txt"
+        extra.write_text("SHORT Mine\n\nEVENTSET\nPMC0  L1D_REPL\n\n"
+                         "METRICS\nMisses  PMC0/FIXC1\n")
+        assert set(groups_for(spec)) == {"FLOPS_DP", "MYGROUP"}
+        assert set(file_groups_for(spec)) == {"FLOPS_DP", "MYGROUP"}
+        extra.unlink()
+        assert set(groups_for(spec)) == {"FLOPS_DP"}
+        assert set(file_groups_for(spec)) == {"FLOPS_DP"}
+
+    def test_patched_root_switches_catalogs(self, root, tmp_path_factory,
+                                            monkeypatch):
+        import repro.core.perfctr.groupfile as gf
+        spec = get_arch("nehalem_ep")
+        assert set(groups_for(spec)) == {"FLOPS_DP"}
+        monkeypatch.setattr(gf, "GROUPFILE_ROOT", SHIPPED_ROOT)
+        shipped = json.loads(GOLDEN_CATALOG.read_text())["nehalem_ep"]
+        assert set(groups_for(spec)) == set(shipped)
+        # A second root whose listing is indistinguishable (same file
+        # name, size and mtime): only the directory tells them apart.
+        mine = root / "nehalem_ep" / "FLOPS_DP.txt"
+        other = tmp_path_factory.mktemp("other") / "nehalem_ep"
+        other.mkdir()
+        twin = other / "FLOPS_DP.txt"
+        twin.write_text(SAMPLE.replace("FIXC1/FIXC0", "FIXC0/FIXC1"))
+        st = mine.stat()
+        os.utime(twin, ns=(st.st_atime_ns, st.st_mtime_ns))
+        for base, cpi in ((root, "CPU_CLK_UNHALTED_CORE/INSTR_RETIRED_ANY"),
+                          (other.parent,
+                           "INSTR_RETIRED_ANY/CPU_CLK_UNHALTED_CORE")):
+            monkeypatch.setattr(gf, "GROUPFILE_ROOT", base)
+            assert dict(groups_for(spec)["FLOPS_DP"].metrics)["CPI"] == cpi
+
+    def test_mutating_the_result_does_not_poison_the_memo(self):
+        spec = get_arch("westmere_ep")
+        for fetch in (groups_for, file_groups_for):
+            first = fetch(spec)
+            expected = set(first)
+            first.clear()
+            first["BOGUS"] = None
+            assert set(fetch(spec)) == expected

@@ -8,8 +8,11 @@ wrapper's ``close()`` raises mid-flush.
 """
 
 import asyncio
+import gc
+import os
 import random
 import socket
+import warnings
 
 import pytest
 
@@ -37,6 +40,62 @@ def with_stack(coro_factory):
         finally:
             await proto.close()
     return asyncio.run(runner())
+
+
+async def _mute(reader, writer):
+    """A server that reads one request and never answers; it hangs up
+    only when the client does."""
+    try:
+        await reader.readline()
+        await reader.read()
+    finally:
+        writer.close()
+
+
+def _exploding_writer_close():
+    async def body(proto, host, port):
+        client = ServerClient(host, port)
+        await client.connect()
+        real = client._writer
+
+        class Exploding:
+            def close(self):
+                raise ConnectionResetError("already gone")
+
+            async def wait_closed(self):
+                raise AssertionError("unreachable")
+        client._writer = Exploding()
+        try:
+            await client.close()            # must not raise
+            assert client._writer is None
+        finally:
+            # The swapped-out writer is this test's to close.
+            real.close()
+            await real.wait_closed()
+    with_stack(body)
+
+
+def _deadline_not_retried():
+    async def body():
+        server = await asyncio.start_server(_mute, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()
+        client = ServerClient(
+            host, port, deadline=0.2,
+            retry=RetryPolicy(max_attempts=50,
+                              backoff_base=0.0001,
+                              backoff_cap=0.001))
+        try:
+            with pytest.raises(ServerError) as exc:
+                await client.ping()
+            assert exc.value.code == "deadline-exceeded"
+            # The budget bounds the whole call: a handful of
+            # attempts at most, never the full 50.
+            assert client.retries < 50
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+    asyncio.run(body())
 
 
 class TestAsyncClose:
@@ -70,20 +129,7 @@ class TestAsyncClose:
         with_stack(body)
 
     def test_close_absorbs_transport_errors(self):
-        async def body(proto, host, port):
-            client = ServerClient(host, port)
-            await client.connect()
-
-            class Exploding:
-                def close(self):
-                    raise ConnectionResetError("already gone")
-
-                async def wait_closed(self):
-                    raise AssertionError("unreachable")
-            client._writer = Exploding()
-            await client.close()            # must not raise
-            assert client._writer is None
-        with_stack(body)
+        _exploding_writer_close()
 
 
 class TestSyncClose:
@@ -229,10 +275,7 @@ class TestRetryLoop:
 class TestDeadlines:
     def test_call_deadline_on_silent_server(self):
         async def body():
-            async def mute(reader, writer):
-                await reader.readline()
-                await asyncio.sleep(3600)
-            server = await asyncio.start_server(mute, "127.0.0.1", 0)
+            server = await asyncio.start_server(_mute, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()
             client = ServerClient(host, port)
             try:
@@ -246,29 +289,7 @@ class TestDeadlines:
         asyncio.run(body())
 
     def test_deadline_exceeded_is_not_retried(self):
-        async def body():
-            async def mute(reader, writer):
-                await reader.readline()
-                await asyncio.sleep(3600)
-            server = await asyncio.start_server(mute, "127.0.0.1", 0)
-            host, port = server.sockets[0].getsockname()
-            client = ServerClient(
-                host, port, deadline=0.2,
-                retry=RetryPolicy(max_attempts=50,
-                                  backoff_base=0.0001,
-                                  backoff_cap=0.001))
-            try:
-                with pytest.raises(ServerError) as exc:
-                    await client.ping()
-                assert exc.value.code == "deadline-exceeded"
-                # The budget bounds the whole call: a handful of
-                # attempts at most, never the full 50.
-                assert client.retries < 50
-            finally:
-                await client.close()
-                server.close()
-                await server.wait_closed()
-        asyncio.run(body())
+        _deadline_not_retried()
 
     def test_sync_deadline(self):
         listener = socket.create_server(("127.0.0.1", 0))
@@ -388,3 +409,56 @@ class TestErrorCodes:
             writer.close()
             await writer.wait_closed()
         with_stack(body)
+
+
+def _open_fds() -> int | None:
+    """Open file descriptors of this process (None where the platform
+    does not list them)."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+class TestNoLeakedConnections:
+    """Nothing may leak a socket, on either side of the connection."""
+
+    @pytest.mark.parametrize("scenario", [_exploding_writer_close,
+                                          _deadline_not_retried])
+    def test_scenario_leaves_no_resource_warning(self, scenario):
+        # A leaked transport may outlive the block (pytest's log
+        # capture can hold a reference to it), so the open descriptors
+        # are counted too.
+        fds = _open_fds()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            scenario()
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+        if fds is not None:
+            assert _open_fds() == fds
+
+    def test_close_drops_a_client_that_gave_up_mid_request(self):
+        """A client that sent half a request line and went silent
+        still holds its socket; close() must hang up on it instead of
+        leaving the server side open (on Python >= 3.12 the listener's
+        wait_closed() would otherwise wait for that client forever)."""
+        async def runner():
+            server = ReproServer.from_specs(_specs(), lease_limit=10.0)
+            proto = ProtocolServer(server)
+            host, port = await proto.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b'{"op": "pi')
+                await writer.drain()
+                while not proto._conns:
+                    await asyncio.sleep(0.01)
+                await asyncio.wait_for(proto.close(), timeout=5)
+                assert proto._conns == set()
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        asyncio.run(runner())
