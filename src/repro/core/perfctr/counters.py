@@ -15,6 +15,7 @@ uncore event counts are assigned to one thread per socket").
 
 from __future__ import annotations
 
+import random
 import time as _time
 from dataclasses import dataclass
 
@@ -162,21 +163,40 @@ def counter_delta(current: float, previous: float, width: int) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff for transient msr faults.
-
-    A transient fault (``EAGAIN``/``EIO`` with ``transient=True``) is
-    retried up to ``max_attempts`` times total, sleeping
-    ``min(backoff_cap, backoff_base * 2**retry)`` between attempts.
-    The defaults keep the worst-case stall per operation under ~3 ms
-    while surviving the fault rates a loaded system realistically
-    shows.  Non-transient faults are never retried."""
+    """Bounded exponential backoff, optionally with seeded jitter —
+    the msr programmer's (:data:`MSR_RETRIES`) and the server clients'
+    (:data:`repro.server.retry.CLIENT_RETRIES`).  ``max_attempts``
+    counts the first try.  The sleep before retry *n* (0-based) is
+    ``min(backoff_cap, backoff_base * 2**n)``, times
+    ``(1 + jitter * U[0,1))`` drawn from *rng* when one is passed."""
 
     max_attempts: int = 8
     backoff_base: float = 0.0001   # seconds before the first retry
     backoff_cap: float = 0.002     # per-retry sleep ceiling
+    jitter: float = 0.0
 
-    def delay(self, retry: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2 ** retry))
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.backoff_base < 0.0 or self.backoff_cap < 0.0:
+            raise ValueError("backoff_base/backoff_cap must be >= 0")
+        if self.jitter < 0.0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+
+    def delay(self, retry: int, rng: random.Random | None = None) -> float:
+        """Seconds to sleep before retry number *retry* (0-based)."""
+        base = min(self.backoff_cap, self.backoff_base * (2 ** retry))
+        if rng is None:
+            return base
+        return base * (1.0 + self.jitter * rng.random())
+
+
+#: The msr programmer's default: the worst-case stall per operation
+#: stays under ~3 ms while surviving the fault rates a loaded system
+#: realistically shows.  Non-transient faults are never retried.
+MSR_RETRIES = RetryPolicy(max_attempts=8, backoff_base=0.0001,
+                          backoff_cap=0.002)
 
 
 class CounterProgrammer:
@@ -200,7 +220,7 @@ class CounterProgrammer:
         self.driver = driver
         self.counters = counters
         self.spec = counters.spec
-        self.policy = policy or RetryPolicy()
+        self.policy = policy or MSR_RETRIES
         self._metrics = driver.metrics
         self._retries_base = self._metrics.value("msr.io.retries")
         self.backoff_seconds = 0.0  # total time spent backing off

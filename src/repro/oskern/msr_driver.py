@@ -26,6 +26,7 @@ import random
 import struct
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import trace as _trace
 from repro.errors import (JournalError, MsrError, MsrIOError,
@@ -154,30 +155,48 @@ class FaultPlan:
             sticky=0x38F,sticky=0xC1
             overflow_after=1000
         """
-        kwargs: dict = {}
-        sticky: list[int] = []
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(f"bad fault spec {part!r} (need key=value)")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in ("sticky", "sticky_addresses") and key in kwargs:
-                raise ValueError(f"duplicate fault key {key!r}")
-            if key in ("sticky", "sticky_addresses"):
-                sticky.append(int(value, 0))
-            elif key in ("read_fault_rate", "write_fault_rate"):
-                kwargs[key] = float(value)
-            elif key in ("seed", "unload_after", "revoke_write_after",
-                         "overflow_after", "kill_after", "sigint_after"):
-                kwargs[key] = int(value, 0)
-            elif key == "transient_errno":
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown fault key {key!r}")
-        if sticky:
-            kwargs["sticky_addresses"] = tuple(sticky)
-        return cls(**kwargs)
+        return cls(**parse_plan_spec(text, "fault", _FAULT_FIELDS,
+                                     aliases={"sticky": "sticky_addresses"},
+                                     repeatable=("sticky_addresses",)))
+
+
+_int = partial(int, base=0)     # accepts hex register addresses
+
+_FAULT_FIELDS = {
+    "seed": _int, "read_fault_rate": float, "write_fault_rate": float,
+    "transient_errno": str, "unload_after": _int,
+    "revoke_write_after": _int, "sticky_addresses": _int,
+    "overflow_after": _int, "kill_after": _int, "sigint_after": _int,
+}
+
+
+def parse_plan_spec(text: str, kind: str, fields: dict, *,
+                    aliases: dict | None = None,
+                    repeatable: tuple[str, ...] = ()) -> dict:
+    """Parse the fault/chaos plan CLI syntax into constructor kwargs.
+
+    *text* is comma-separated ``key=value`` pairs; empty segments are
+    tolerated (trailing commas from shell composition).  Keys are
+    *fields* names or their *aliases*; each value goes through its
+    field's converter.  A key in *repeatable* collects its values into
+    a tuple; any other repeated key is rejected rather than silently
+    keeping the last value.  Errors name the plan *kind*
+    (``bad fault spec``, ``unknown chaos key`` ...)."""
+    aliases = aliases or {}
+    kwargs: dict = {}
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        if "=" not in part:
+            raise ValueError(f"bad {kind} spec {part!r} (need key=value)")
+        key, _, value = part.partition("=")
+        key = aliases.get(key.strip(), key.strip())
+        if key in kwargs and key not in repeatable:
+            raise ValueError(f"duplicate {kind} key {key!r}")
+        if key not in fields:
+            raise ValueError(f"unknown {kind} key {key!r}")
+        value = fields[key](value.strip())
+        kwargs[key] = kwargs.get(key, ()) + (value,) \
+            if key in repeatable else value
+    return kwargs
 
 
 @dataclass

@@ -43,8 +43,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro import trace as _trace
+from repro.oskern.msr_driver import parse_plan_spec
 
 #: Short CLI aliases -> canonical field names.
 _ALIASES = {
@@ -58,6 +60,10 @@ _ALIASES = {
 
 _RATE_FIELDS = ("refuse_rate", "drop_request_rate", "drop_reply_rate",
                 "torn_reply_rate", "duplicate_rate", "delay_rate")
+
+#: ``from_string`` converters per field.
+_FIELDS = {**dict.fromkeys(_RATE_FIELDS + ("delay_s",), float),
+           "seed": partial(int, base=0)}
 
 
 @dataclass(frozen=True)
@@ -96,23 +102,8 @@ class ChaosPlan:
         ``duplicate``, ``delay``); a repeated key is rejected rather
         than silently keeping the last value; empty segments are
         tolerated (trailing commas from shell composition)."""
-        kwargs: dict = {}
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"bad chaos spec {part!r} (need key=value)")
-            key, _, value = part.partition("=")
-            key = _ALIASES.get(key.strip(), key.strip())
-            value = value.strip()
-            if key in kwargs:
-                raise ValueError(f"duplicate chaos key {key!r}")
-            if key in _RATE_FIELDS or key == "delay_s":
-                kwargs[key] = float(value)
-            elif key == "seed":
-                kwargs[key] = int(value, 0)
-            else:
-                raise ValueError(f"unknown chaos key {key!r}")
-        return cls(**kwargs)
+        return cls(**parse_plan_spec(text, "chaos", _FIELDS,
+                                     aliases=_ALIASES))
 
     def arm(self, stream_id: str) -> "ChaosState":
         """Arm the plan for one connection stream; the rng is keyed

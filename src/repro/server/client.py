@@ -1,28 +1,30 @@
-"""Client API for likwid-server.
+"""Client API for likwid-server: one protocol core, two transports.
 
-Two clients over the same JSON-lines protocol:
+:class:`_ClientCore` does no I/O.  It owns the client id, the
+idempotency stamping, the per-call deadline, the retry decision and
+its seeded backoff, the chaos fates, JSON encoding, reply checks and
+the verbs.  A call is a generator that yields I/O steps — ``(name of
+a transport method, argument)`` pairs — and receives each result.
+A transport only connects, closes, aborts, writes, reads a line and
+sleeps, and drives that generator:
 
-* :class:`ServerClient` — asyncio, one request pipelined at a time
-  per connection; the load harness opens hundreds of these.
-* :class:`SyncServerClient` — a blocking socket client for
-  synchronous callers: ``likwid-server submit`` and the agent's
+* :class:`ServerClient` on asyncio streams, one request in flight
+  per connection (the load harness opens hundreds of these);
+* :class:`SyncServerClient` on a blocking socket, for
+  ``likwid-server submit`` and the agent's
   :class:`~repro.server.ingest.ServerIngestSink`.
 
-Both are **retrying** clients: every call runs under a shared
-:class:`~repro.server.retry.RetryPolicy` (seeded-jitter exponential
-backoff keyed by the client id), reconnects automatically after any
-transport failure, and honours a per-call wall-clock ``deadline``.
-``submit``/``wait``/``cancel``/``ingest`` carry idempotency keys
-(``client`` + monotonically increasing ``seq``, stamped once per
-logical operation and stable across its retries), so a retry after a
-lost reply lands on the server's dedup window instead of re-executing
-— the invariant the chaos tests hammer.
-
-A :class:`~repro.server.chaos.ChaosPlan` can be armed on either
-client; faults are injected at the stream/socket seam (see the chaos
-module docstring) and surface as retryable
-:class:`~repro.errors.ChaosError`, which the retry loop absorbs
-exactly like genuine network weather.
+Every call runs under a :class:`~repro.server.retry.RetryPolicy`
+(seeded-jitter exponential backoff keyed by the client id),
+reconnects after any transport failure, and honours a per-call
+wall-clock ``deadline``.  ``submit``/``cancel``/``ingest`` carry
+idempotency keys (``client`` + ``seq``, stamped once per logical
+operation and stable across its retries), so a retry after a lost
+reply lands on the server's dedup window instead of re-executing.
+A :class:`~repro.server.chaos.ChaosPlan` armed on a client injects
+faults at the stream/socket seam as retryable
+:class:`~repro.errors.ChaosError`, which the retry loop absorbs like
+genuine network weather.
 """
 
 from __future__ import annotations
@@ -39,10 +41,18 @@ from repro import trace as _trace
 from repro.errors import ChaosError, ServerError
 from repro.server import chaos as _chaos
 from repro.server.chaos import ChaosPlan
-from repro.server.retry import RetryPolicy, retryable
+from repro.server.retry import CLIENT_RETRIES, RetryPolicy, retryable
 from repro.server.scheduler import SessionRequest, request_to_dict
 
 _CLIENT_IDS = itertools.count(1)
+
+#: The I/O steps a call yields; each names the transport method that
+#: performs it.
+_CONNECT = "_io_connect"    # arg: seconds left (None = no deadline)
+_WRITE = "_io_write"        # arg: bytes
+_READLINE = "_io_readline"  # arg: seconds left; result: the line
+_ABORT = "_io_abort"        # arg: None
+_SLEEP = "_io_sleep"        # arg: seconds
 
 
 def _default_client_id() -> str:
@@ -53,6 +63,19 @@ def _reply_error(reply: dict) -> ServerError:
     return ServerError(reply.get("error", "server error"),
                        code=reply.get("code", "server-error"),
                        retryable=bool(reply.get("retryable", False)))
+
+
+def _nonempty(line: bytes) -> bytes:
+    if not line:
+        raise ServerError("server closed the connection",
+                          code="connection-lost", retryable=True)
+    return line
+
+
+def _checked(reply: dict) -> dict:
+    if not reply.get("ok"):
+        raise _reply_error(reply)
+    return reply
 
 
 class _CallClock:
@@ -73,30 +96,173 @@ class _CallClock:
         return left
 
 
-class ServerClient:
-    """Async JSON-lines client (one outstanding request at a time).
+class _ClientCore:
+    """The request/retry contract shared by both transports.  A
+    transport subclass supplies ``_connected``, ``_checked_call`` and
+    the ``_io_*`` step methods.
 
-    ``retry=None`` (or :data:`~repro.server.retry.NO_RETRY`) restores
-    PR 9's fail-fast behaviour; ``deadline`` is the default per-call
-    wall-clock budget (None = wait forever, the load-harness default
-    since terminal waits are legitimately long)."""
+    ``retry=None`` means :data:`~repro.server.retry.CLIENT_RETRIES`
+    (:data:`~repro.server.retry.NO_RETRY` fails fast); ``deadline`` is
+    the default per-call wall-clock budget (None = wait forever, the
+    load-harness default since terminal waits are legitimately
+    long)."""
 
-    def __init__(self, host: str, port: int, *,
-                 client_id: str | None = None,
-                 retry: RetryPolicy | None = None,
-                 deadline: float | None = None,
-                 chaos: ChaosPlan | None = None):
+    def __init__(self, host: str, port: int, client_id: str | None,
+                 retry: RetryPolicy | None, deadline: float | None,
+                 chaos: ChaosPlan | None):
         self.host = host
         self.port = port
         self.client_id = client_id if client_id is not None \
             else _default_client_id()
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = retry if retry is not None else CLIENT_RETRIES
         self.deadline = deadline
         self.chaos = chaos.arm(self.client_id) \
             if chaos is not None and chaos.active else None
         self.retries = 0
         self._rng = random.Random(f"retry:{self.client_id}")
         self._seq = 0
+
+    # -- idempotency keys ------------------------------------------------------
+
+    def next_seq(self) -> int:
+        """Allocate an idempotency sequence number for a caller that
+        stamps its own requests (the ingest sink's spill ring stamps
+        each batch once so a drained retry still deduplicates)."""
+        self._seq += 1
+        return self._seq
+
+    def _stamp(self, doc: dict) -> dict:
+        """Attach the idempotency key: stamped once per logical
+        operation, stable across every retry of it."""
+        doc["client"] = self.client_id
+        doc["seq"] = self.next_seq()
+        return doc
+
+    def _refuse_check(self) -> None:
+        if self.chaos is not None and self.chaos.refuse_connect():
+            raise ChaosError("connection refused (injected)",
+                             kind="refused")
+
+    # -- the call as a sequence of I/O steps -----------------------------------
+
+    def _call_steps(self, doc: dict, deadline: float | None):
+        """One logical call: attempts under the retry policy.  Its
+        value is the reply; error replies the server marked retryable
+        are retried in here, so a returned error reply is terminal."""
+        clock = _CallClock(deadline if deadline is not None
+                           else self.deadline)
+        attempt = 0
+        while True:
+            try:
+                return (yield from self._attempt_steps(doc, clock))
+            except Exception as exc:
+                if isinstance(exc, ServerError) \
+                        and exc.code == "deadline-exceeded":
+                    raise
+                if not retryable(exc):
+                    raise
+                attempt += 1
+                self.retries += 1
+                _trace.incr("server.retries")
+                yield _ABORT, None
+                if attempt >= self.retry.max_attempts:
+                    raise ServerError(
+                        f"retries exhausted after {attempt} "
+                        f"attempt(s): {exc}",
+                        code="retries-exhausted") from exc
+                clock.remaining()
+                yield _SLEEP, self.retry.delay(attempt - 1, self._rng)
+
+    def _attempt_steps(self, doc: dict, clock: _CallClock):
+        """One attempt: (re)connect, send, read and check the reply,
+        with the armed chaos plan deciding each fate."""
+        if not self._connected:
+            yield _CONNECT, clock.remaining()
+        data = json.dumps(doc).encode() + b"\n"
+        ch = self.chaos
+        fate = _chaos.DELIVER
+        if ch is not None:
+            pause = ch.delay()
+            if pause:
+                yield _SLEEP, pause
+            fate = ch.request_fate()
+            if fate == _chaos.TORN_REQUEST:
+                yield _WRITE, ch.tear(data)
+                yield _ABORT, None
+                raise ChaosError("connection lost mid-request "
+                                 "(injected)", kind="torn-request")
+            if fate == _chaos.DUPLICATE:
+                data = data + data
+        yield _WRITE, data
+        if ch is not None:
+            reply_fate = ch.reply_fate()
+            if reply_fate == _chaos.DROP_REPLY:
+                yield _ABORT, None
+                raise ChaosError("connection lost before reply "
+                                 "(injected)", kind="dropped-reply")
+            if reply_fate == _chaos.TORN_REPLY:
+                _nonempty((yield _READLINE, clock.remaining()))  # cadence
+                yield _ABORT, None
+                raise ChaosError("reply line torn mid-JSON "
+                                 "(injected)", kind="torn-reply")
+        line = _nonempty((yield _READLINE, clock.remaining()))
+        if fate == _chaos.DUPLICATE:
+            # The duplicate delivery produced a second reply (or a
+            # dedup replay); it must leave the stream before the next
+            # request keeps order.
+            _nonempty((yield _READLINE, clock.remaining()))
+        try:
+            reply = json.loads(line)
+        except ValueError:
+            raise ServerError("torn reply: response line is not JSON",
+                              code="torn-reply", retryable=True) \
+                from None
+        if not reply.get("ok") and reply.get("retryable"):
+            raise _reply_error(reply)
+        return reply
+
+    # -- verbs -----------------------------------------------------------------
+    # Each returns what the transport's ``_checked_call`` returns: the
+    # reply on the sync client, an awaitable of it on the async one.
+
+    def ping(self, *, deadline: float | None = None):
+        return self._checked_call({"op": "ping"}, deadline)
+
+    def status(self, *, deadline: float | None = None):
+        return self._checked_call({"op": "status"}, deadline)
+
+    def submit(self, request: SessionRequest, *, wait: bool = True,
+               deadline: float | None = None):
+        """Submit one session; with ``wait`` (default) blocks until
+        the terminal state and returns the full session document."""
+        doc = request_to_dict(request)
+        doc["op"] = "submit"
+        doc["wait"] = wait
+        return self._checked_call(self._stamp(doc), deadline)
+
+    def wait(self, node: str, session_id: int, *,
+             deadline: float | None = None):
+        return self._checked_call(
+            {"op": "wait", "node": node, "session": session_id},
+            deadline)
+
+    def cancel(self, node: str, session_id: int, *,
+               deadline: float | None = None):
+        return self._checked_call(self._stamp(
+            {"op": "cancel", "node": node, "session": session_id}),
+            deadline)
+
+
+class ServerClient(_ClientCore):
+    """Async transport: asyncio streams, one outstanding request at a
+    time (the protocol matches replies to requests by order)."""
+
+    def __init__(self, host: str, port: int, *,
+                 client_id: str | None = None,
+                 retry: RetryPolicy | None = None,
+                 deadline: float | None = None,
+                 chaos: ChaosPlan | None = None):
+        super().__init__(host, port, client_id, retry, deadline, chaos)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
@@ -109,9 +275,7 @@ class ServerClient:
         await self.close()
 
     async def connect(self) -> None:
-        if self.chaos is not None and self.chaos.refuse_connect():
-            raise ChaosError("connection refused (injected)",
-                             kind="refused")
+        self._refuse_check()
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
 
@@ -128,7 +292,53 @@ class ServerClient:
             except (ConnectionError, OSError):
                 pass
 
-    def _abort(self) -> None:
+    async def call(self, doc: dict, *,
+                   deadline: float | None = None) -> dict:
+        """One request/response round trip (serialized per client),
+        retried under the client's policy."""
+        async with self._lock:
+            return await self._run(self._call_steps(doc, deadline))
+
+    async def _attempt(self, doc: dict, clock: _CallClock) -> dict:
+        """A single attempt, without the retry loop."""
+        return await self._run(self._attempt_steps(doc, clock))
+
+    async def _checked_call(self, doc: dict,
+                            deadline: float | None) -> dict:
+        return _checked(await self.call(doc, deadline=deadline))
+
+    async def _run(self, steps):
+        """Drive a step generator, feeding back each result or
+        throwing in each exception."""
+        value = exc = None
+        while True:
+            try:
+                op, arg = steps.send(value) if exc is None \
+                    else steps.throw(exc)
+            except StopIteration as done:
+                return done.value
+            try:
+                value, exc = await getattr(self, op)(arg), None
+            except Exception as err:
+                value, exc = None, err
+
+    # -- I/O steps -------------------------------------------------------------
+
+    @property
+    def _connected(self) -> bool:
+        return self._writer is not None
+
+    async def _io_connect(self, remaining: float | None) -> None:
+        await asyncio.wait_for(self.connect(), remaining)
+
+    async def _io_write(self, data: bytes) -> None:
+        self._writer.write(data)
+        await self._writer.drain()
+
+    async def _io_readline(self, remaining: float | None) -> bytes:
+        return await asyncio.wait_for(self._reader.readline(), remaining)
+
+    async def _io_abort(self, _) -> None:
         """Sever the connection without ceremony (chaos and retry
         paths; the next attempt reconnects)."""
         writer, self._writer, self._reader = self._writer, None, None
@@ -137,156 +347,11 @@ class ServerClient:
             if transport is not None:
                 transport.abort()
 
-    # -- the retrying call loop ------------------------------------------------
-
-    async def call(self, doc: dict, *,
-                   deadline: float | None = None) -> dict:
-        """One request/response round trip (serialized per client —
-        the protocol matches replies to requests by order), retried
-        under the client's policy.  Returns the reply object; error
-        replies the server marked retryable are retried in here, so a
-        returned error reply is always terminal."""
-        clock = _CallClock(deadline if deadline is not None
-                           else self.deadline)
-        attempt = 0
-        async with self._lock:
-            while True:
-                try:
-                    return await self._attempt(doc, clock)
-                except Exception as exc:
-                    if isinstance(exc, ServerError) \
-                            and exc.code == "deadline-exceeded":
-                        raise
-                    if not retryable(exc):
-                        raise
-                    attempt += 1
-                    self.retries += 1
-                    _trace.incr("server.retries")
-                    self._abort()
-                    if attempt >= self.retry.max_attempts:
-                        raise ServerError(
-                            f"retries exhausted after {attempt} "
-                            f"attempt(s): {exc}",
-                            code="retries-exhausted") from exc
-                    clock.remaining()
-                    await asyncio.sleep(
-                        self.retry.delay(attempt - 1, self._rng))
-
-    async def _attempt(self, doc: dict, clock: _CallClock) -> dict:
-        if self._writer is None:
-            remaining = clock.remaining()
-            if remaining is None:
-                await self.connect()
-            else:
-                await asyncio.wait_for(self.connect(), remaining)
-        data = json.dumps(doc).encode() + b"\n"
-        ch = self.chaos
-        fate = _chaos.DELIVER
-        if ch is not None:
-            pause = ch.delay()
-            if pause:
-                await asyncio.sleep(pause)
-            fate = ch.request_fate()
-            if fate == _chaos.TORN_REQUEST:
-                self._writer.write(ch.tear(data))
-                await self._writer.drain()
-                self._abort()
-                raise ChaosError("connection lost mid-request "
-                                 "(injected)", kind="torn-request")
-            if fate == _chaos.DUPLICATE:
-                data = data + data
-        self._writer.write(data)
-        await self._writer.drain()
-        if ch is not None:
-            reply_fate = ch.reply_fate()
-            if reply_fate == _chaos.DROP_REPLY:
-                self._abort()
-                raise ChaosError("connection lost before reply "
-                                 "(injected)", kind="dropped-reply")
-            if reply_fate == _chaos.TORN_REPLY:
-                await self._readline(clock)   # keep stream cadence
-                self._abort()
-                raise ChaosError("reply line torn mid-JSON "
-                                 "(injected)", kind="torn-reply")
-        line = await self._readline(clock)
-        if fate == _chaos.DUPLICATE:
-            # The duplicate delivery produced a second reply (or a
-            # dedup replay); it must leave the stream before the next
-            # request keeps order.
-            await self._readline(clock)
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ServerError("torn reply: response line is not JSON",
-                              code="torn-reply", retryable=True) \
-                from None
-        if not reply.get("ok") and reply.get("retryable"):
-            raise _reply_error(reply)
-        return reply
-
-    async def _readline(self, clock: _CallClock) -> bytes:
-        remaining = clock.remaining()
-        if remaining is None:
-            line = await self._reader.readline()
-        else:
-            line = await asyncio.wait_for(self._reader.readline(),
-                                          remaining)
-        if not line:
-            raise ServerError("server closed the connection",
-                              code="connection-lost", retryable=True)
-        return line
-
-    # -- verbs -----------------------------------------------------------------
-
-    def _stamp(self, doc: dict) -> dict:
-        """Attach the idempotency key: stamped once per logical
-        operation, stable across every retry of it."""
-        self._seq += 1
-        doc["client"] = self.client_id
-        doc["seq"] = self._seq
-        return doc
-
-    async def ping(self, *, deadline: float | None = None) -> dict:
-        return self._checked(await self.call({"op": "ping"},
-                                             deadline=deadline))
-
-    async def status(self, *, deadline: float | None = None) -> dict:
-        return self._checked(await self.call({"op": "status"},
-                                             deadline=deadline))
-
-    async def submit(self, request: SessionRequest, *,
-                     wait: bool = True,
-                     deadline: float | None = None) -> dict:
-        """Submit one session; with ``wait`` (default) blocks until
-        the terminal state and returns the full session document."""
-        doc = request_to_dict(request)
-        doc["op"] = "submit"
-        doc["wait"] = wait
-        return self._checked(await self.call(self._stamp(doc),
-                                             deadline=deadline))
-
-    async def wait(self, node: str, session_id: int, *,
-                   deadline: float | None = None) -> dict:
-        return self._checked(await self.call(
-            {"op": "wait", "node": node, "session": session_id},
-            deadline=deadline))
-
-    async def cancel(self, node: str, session_id: int, *,
-                     deadline: float | None = None) -> dict:
-        return self._checked(await self.call(self._stamp(
-            {"op": "cancel", "node": node, "session": session_id}),
-            deadline=deadline))
-
-    @staticmethod
-    def _checked(reply: dict) -> dict:
-        if not reply.get("ok"):
-            raise _reply_error(reply)
-        return reply
+    _io_sleep = staticmethod(asyncio.sleep)
 
 
-class SyncServerClient:
-    """Blocking socket client for synchronous call sites — same
-    retry/deadline/idempotency/chaos contract as the async client.
+class SyncServerClient(_ClientCore):
+    """Blocking transport for synchronous call sites.
 
     ``timeout`` caps a single socket operation; ``deadline`` caps a
     whole logical call across all its retries."""
@@ -297,18 +362,8 @@ class SyncServerClient:
                  retry: RetryPolicy | None = None,
                  deadline: float | None = None,
                  chaos: ChaosPlan | None = None):
-        self.host = host
-        self.port = port
+        super().__init__(host, port, client_id, retry, deadline, chaos)
         self.timeout = timeout
-        self.client_id = client_id if client_id is not None \
-            else _default_client_id()
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.deadline = deadline
-        self.chaos = chaos.arm(self.client_id) \
-            if chaos is not None and chaos.active else None
-        self.retries = 0
-        self._rng = random.Random(f"retry:{self.client_id}")
-        self._seq = 0
         self._sock: socket.socket | None = None
         self._file = None
 
@@ -320,9 +375,7 @@ class SyncServerClient:
         self.close()
 
     def connect(self) -> None:
-        if self.chaos is not None and self.chaos.refuse_connect():
-            raise ChaosError("connection refused (injected)",
-                             kind="refused")
+        self._refuse_check()
         self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout)
         self._file = self._sock.makefile("rwb")
@@ -342,137 +395,61 @@ class SyncServerClient:
         finally:
             sock.close()
 
-    # -- the retrying call loop ------------------------------------------------
-
     def call(self, doc: dict, *,
              deadline: float | None = None) -> dict:
-        clock = _CallClock(deadline if deadline is not None
-                           else self.deadline)
-        attempt = 0
+        """One request/response round trip, retried under the
+        client's policy."""
+        return self._run(self._call_steps(doc, deadline))
+
+    def _checked_call(self, doc: dict, deadline: float | None) -> dict:
+        return _checked(self.call(doc, deadline=deadline))
+
+    def _run(self, steps):
+        """Drive a step generator, feeding back each result or
+        throwing in each exception."""
+        value = exc = None
         while True:
             try:
-                return self._attempt(doc, clock)
-            except Exception as exc:
-                if isinstance(exc, ServerError) \
-                        and exc.code == "deadline-exceeded":
-                    raise
-                if not retryable(exc):
-                    raise
-                attempt += 1
-                self.retries += 1
-                _trace.incr("server.retries")
-                self.close()
-                if attempt >= self.retry.max_attempts:
-                    raise ServerError(
-                        f"retries exhausted after {attempt} "
-                        f"attempt(s): {exc}",
-                        code="retries-exhausted") from exc
-                clock.remaining()
-                time.sleep(self.retry.delay(attempt - 1, self._rng))
+                op, arg = steps.send(value) if exc is None \
+                    else steps.throw(exc)
+            except StopIteration as done:
+                return done.value
+            try:
+                value, exc = getattr(self, op)(arg), None
+            except Exception as err:
+                value, exc = None, err
 
-    def _attempt(self, doc: dict, clock: _CallClock) -> dict:
-        if self._sock is None:
-            clock.remaining()
-            self.connect()
-        data = json.dumps(doc).encode() + b"\n"
-        ch = self.chaos
-        fate = _chaos.DELIVER
-        if ch is not None:
-            pause = ch.delay()
-            if pause:
-                time.sleep(pause)
-            fate = ch.request_fate()
-            if fate == _chaos.TORN_REQUEST:
-                self._file.write(ch.tear(data))
-                self._file.flush()
-                self.close()
-                raise ChaosError("connection lost mid-request "
-                                 "(injected)", kind="torn-request")
-            if fate == _chaos.DUPLICATE:
-                data = data + data
+    # -- I/O steps -------------------------------------------------------------
+
+    @property
+    def _connected(self) -> bool:
+        return self._sock is not None
+
+    def _io_connect(self, remaining: float | None) -> None:
+        self.connect()          # capped by ``timeout``, as every op
+
+    # The socket timeout is set before every write and read: a
+    # deadline-shrunk read timeout must not carry over into a later
+    # call that has no deadline.
+
+    def _io_write(self, data: bytes) -> None:
+        self._sock.settimeout(self.timeout)
         self._file.write(data)
         self._file.flush()
-        if ch is not None:
-            reply_fate = ch.reply_fate()
-            if reply_fate == _chaos.DROP_REPLY:
-                self.close()
-                raise ChaosError("connection lost before reply "
-                                 "(injected)", kind="dropped-reply")
-            if reply_fate == _chaos.TORN_REPLY:
-                self._readline(clock)
-                self.close()
-                raise ChaosError("reply line torn mid-JSON "
-                                 "(injected)", kind="torn-reply")
-        line = self._readline(clock)
-        if fate == _chaos.DUPLICATE:
-            self._readline(clock)
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ServerError("torn reply: response line is not JSON",
-                              code="torn-reply", retryable=True) \
-                from None
-        if not reply.get("ok") and reply.get("retryable"):
-            raise _reply_error(reply)
-        return reply
 
-    def _readline(self, clock: _CallClock) -> bytes:
-        remaining = clock.remaining()
-        if remaining is not None:
-            self._sock.settimeout(min(remaining, self.timeout)
-                                  if self.timeout is not None
-                                  else remaining)
+    def _io_readline(self, remaining: float | None) -> bytes:
+        self._sock.settimeout(min(
+            (t for t in (remaining, self.timeout) if t is not None),
+            default=None))
         try:
-            line = self._file.readline()
+            return self._file.readline()
         except socket.timeout:
             raise TimeoutError("timed out waiting for reply") from None
-        if not line:
-            raise ServerError("server closed the connection",
-                              code="connection-lost", retryable=True)
-        return line
 
-    # -- verbs -----------------------------------------------------------------
+    def _io_abort(self, _) -> None:
+        self.close()
 
-    def _stamp(self, doc: dict) -> dict:
-        self._seq += 1
-        doc["client"] = self.client_id
-        doc["seq"] = self._seq
-        return doc
-
-    def next_seq(self) -> int:
-        """Allocate an idempotency sequence number for a caller that
-        stamps its own requests (the ingest sink's spill ring stamps
-        each batch once so a drained retry still deduplicates)."""
-        self._seq += 1
-        return self._seq
-
-    def ping(self, *, deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call({"op": "ping"},
-                                               deadline=deadline))
-
-    def status(self, *, deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call({"op": "status"},
-                                               deadline=deadline))
-
-    def submit(self, request: SessionRequest, *, wait: bool = True,
-               deadline: float | None = None) -> dict:
-        doc = request_to_dict(request)
-        doc["op"] = "submit"
-        doc["wait"] = wait
-        return ServerClient._checked(self.call(self._stamp(doc),
-                                               deadline=deadline))
-
-    def wait(self, node: str, session_id: int, *,
-             deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call(
-            {"op": "wait", "node": node, "session": session_id},
-            deadline=deadline))
-
-    def cancel(self, node: str, session_id: int, *,
-               deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call(self._stamp(
-            {"op": "cancel", "node": node, "session": session_id}),
-            deadline=deadline))
+    _io_sleep = staticmethod(time.sleep)
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

@@ -42,7 +42,7 @@ from repro.server.workload import (result_from_dict, results_identical,
 #: unreachable while recovery replays the WAL, and every refused
 #: connect burns one attempt, so the budget must outlast the gap.
 LOADTEST_RETRIES = RetryPolicy(max_attempts=12, backoff_base=0.001,
-                               backoff_cap=0.5)
+                               backoff_cap=0.5, jitter=0.5)
 
 #: Candidate groups, all within single-set counter capacity on every
 #: supported architecture (no multiplexing → no schedule-dependent

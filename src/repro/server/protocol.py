@@ -397,8 +397,7 @@ class ProtocolServer:
         gave up mid-request and never hung up — so no server-side
         socket outlives the server."""
         self._draining = True
-        if self._tcp is not None:
-            self._tcp.close()
+        await self._stop_listening()
         await self.server.close()
         await self._drop_connections(abort=False)
 
@@ -409,10 +408,23 @@ class ProtocolServer:
         server crashes — returning the per-node hardware residue that
         :func:`recover_protocol` needs."""
         self._draining = True
-        if self._tcp is not None:
-            self._tcp.close()
+        await self._stop_listening()
         await self._drop_connections(abort=True)
         return await self.server.crash()
+
+    async def _stop_listening(self) -> None:
+        """Close the listener without leaking an accept in flight (on
+        Python 3.11 a transport built after ``Server.close()`` fails
+        and leaks its socket): stop polling, give pending accepts two
+        loop turns (callback, then its task) to attach, then close."""
+        if self._tcp is None:
+            return
+        loop = asyncio.get_running_loop()
+        for sock in self._tcp.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        self._tcp.close()
 
     async def _drop_connections(self, *, abort: bool) -> None:
         """Close (FIN) or abort (RST) every live connection and wait

@@ -1,14 +1,8 @@
-"""Seeded-jitter exponential backoff for the server clients.
+"""Retry classification and default policy for the server clients.
 
-The PR 3 msr retry loop (`repro.perfctr.retry_msr_read`) absorbs
-transient EAGAIN faults with bounded backoff; this module is the same
-contract lifted to the network plane and shared by both the asyncio
-and the blocking client: a frozen :class:`RetryPolicy` computes the
-sleep before attempt *n*, and :func:`retryable` classifies an
-exception as worth repeating.
-
-Backoff is exponential with a cap and *seeded* multiplicative jitter:
-each client derives one ``random.Random`` from its client id, so a
+The clients back off under the msr plane's
+:class:`~repro.core.perfctr.counters.RetryPolicy` with seeded jitter:
+each draws from one ``random.Random`` keyed by its client id, so a
 retry storm across many clients decorrelates (no thundering herd
 against a restarting server) while any single client's schedule is
 exactly reproducible — the chaos acceptance runs depend on that.
@@ -16,10 +10,11 @@ exactly reproducible — the chaos acceptance runs depend on that.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
+from repro.core.perfctr.counters import RetryPolicy
 from repro.errors import ServerError
+
+__all__ = ["CLIENT_RETRIES", "NO_RETRY", "RetryPolicy",
+           "TRANSPORT_ERRORS", "retryable"]
 
 #: Exceptions that always indicate a transport-level failure the
 #: client may retry against a fresh connection.  ``TimeoutError``
@@ -42,36 +37,12 @@ def retryable(exc: BaseException) -> bool:
     return isinstance(exc, TRANSPORT_ERRORS)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with seeded jitter.
-
-    ``max_attempts`` counts the first try: the default of 6 means one
-    initial attempt plus up to five retries.  Delays follow
-    ``min(cap, base * 2**retry) * (1 + jitter * U[0,1))`` — the same
-    shape as the msr retry loop, scaled to loopback latencies."""
-
-    max_attempts: int = 6
-    backoff_base: float = 0.0005
-    backoff_cap: float = 0.05
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0.0 or self.backoff_cap < 0.0:
-            raise ValueError("backoff_base/backoff_cap must be >= 0")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-
-    def delay(self, retry: int, rng: random.Random) -> float:
-        """Seconds to sleep before retry number *retry* (0-based)."""
-        base = min(self.backoff_cap, self.backoff_base * (2 ** retry))
-        return base * (1.0 + self.jitter * rng.random())
-
+#: The clients' default: one initial attempt plus up to five retries,
+#: backoff scaled to loopback latencies, 50% seeded jitter.
+CLIENT_RETRIES = RetryPolicy(max_attempts=6, backoff_base=0.0005,
+                             backoff_cap=0.05, jitter=0.5)
 
 #: Retries disabled: a single attempt, no backoff.  Used by the
 #: retry-overhead benchmark's raw path and available to callers that
-#: want PR 9's fail-fast behaviour back.
+#: want fail-fast behaviour.
 NO_RETRY = RetryPolicy(max_attempts=1)

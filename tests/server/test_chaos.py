@@ -7,6 +7,10 @@ exact terminal accounting, no double execution, idempotent retries.
 The integration-marked acceptance test at the bottom is the PR's
 headline: 1000 sessions under full chaos + msr read faults + one
 mid-run SIGKILL/restart, reconciled exactly.
+
+The chaotic-stack cases run against both client transports:
+``TestChaoticStackSync`` reruns them with the blocking client in a
+worker thread (see ``tests/server/transports.py``).
 """
 
 import asyncio
@@ -17,12 +21,12 @@ from repro.agent.fleet import NodeSpec
 from repro.errors import ChaosError
 from repro.server.chaos import (DELIVER, DUPLICATE, TORN_REQUEST,
                                 ChaosPlan)
-from repro.server.client import ServerClient
 from repro.server.loadtest import LoadTestConfig, run_load_test
 from repro.server.protocol import ProtocolServer
 from repro.server.retry import RetryPolicy
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
+from tests.server.transports import make_client
 
 RETRIES = RetryPolicy(max_attempts=10, backoff_base=0.0005,
                       backoff_cap=0.01)
@@ -119,14 +123,15 @@ def _request(i=0, windows=1):
                           windows=windows, window=0.05, seed=i)
 
 
-def with_chaotic_stack(coro_factory, plan, *, retry=RETRIES):
+def with_chaotic_stack(coro_factory, plan, *, retry=RETRIES,
+                       transport="async"):
     """Boot the stack, hand the coroutine a chaos-armed client."""
     async def runner():
         server = ReproServer.from_specs(_specs(), lease_limit=10.0)
         proto = ProtocolServer(server)
         host, port = await proto.start()
-        client = ServerClient(host, port, client_id="chaos-t",
-                              retry=retry, chaos=plan)
+        client = make_client(transport, host, port, client_id="chaos-t",
+                             retry=retry, chaos=plan)
         try:
             return await coro_factory(proto, client)
         finally:
@@ -135,8 +140,10 @@ def with_chaotic_stack(coro_factory, plan, *, retry=RETRIES):
     return asyncio.run(runner())
 
 
-class TestChaoticStack:
+class _ChaoticStackCases:
     """One fault kind at a time, against the live stack."""
+
+    transport = "async"
 
     @pytest.mark.parametrize("kind,plan", [
         ("torn_request", ChaosPlan(seed=5, drop_request_rate=0.4)),
@@ -153,7 +160,8 @@ class TestChaoticStack:
             return docs, status, dict(client.chaos.injected)
 
         docs, status, injected = with_chaotic_stack(
-            lambda proto, client: body(proto, client), plan)
+            lambda proto, client: body(proto, client), plan,
+            transport=self.transport)
         # No double execution: the server admitted exactly one session
         # per logical submission, whatever the weather.
         assert status["total"]["submitted"] == 8
@@ -170,7 +178,8 @@ class TestChaoticStack:
             return dict(client.chaos.injected), client.retries
 
         injected, retries = with_chaotic_stack(
-            lambda proto, client: body(proto, client), plan)
+            lambda proto, client: body(proto, client), plan,
+            transport=self.transport)
         assert injected.get("refused", 0) > 0
         assert retries >= injected["refused"]
 
@@ -183,7 +192,8 @@ class TestChaoticStack:
             return proto, (await client.status())["total"]
 
         proto, total = with_chaotic_stack(
-            lambda proto, client: body(proto, client), plan)
+            lambda proto, client: body(proto, client), plan,
+            transport=self.transport)
         # Every submit line arrived twice; the second delivery must be
         # served from the dedup window, not executed again.
         assert total["submitted"] == 4
@@ -199,7 +209,8 @@ class TestChaoticStack:
             return (await client.status())["total"], client.retries
 
         total, retries = with_chaotic_stack(
-            lambda proto, client: body(proto, client), plan)
+            lambda proto, client: body(proto, client), plan,
+            transport=self.transport)
         assert total["submitted"] == 6
         assert retries > 0
 
@@ -208,7 +219,8 @@ class TestChaoticStack:
             server = ReproServer.from_specs(_specs(), lease_limit=10.0)
             proto = ProtocolServer(server)
             host, port = await proto.start()
-            client = ServerClient(host, port, chaos=ChaosPlan(seed=1))
+            client = make_client(self.transport, host, port,
+                                 chaos=ChaosPlan(seed=1))
             try:
                 assert client.chaos is None     # inactive plan
                 doc = await client.submit(_request())
@@ -218,10 +230,16 @@ class TestChaoticStack:
                 await proto.close()
         asyncio.run(runner())
 
+
+class TestChaoticStack(_ChaoticStackCases):
     def test_chaos_error_is_retryable(self):
         err = ChaosError("boom", kind="torn-request")
         assert err.retryable
         assert err.code == "chaos-torn-request"
+
+
+class TestChaoticStackSync(_ChaoticStackCases):
+    transport = "sync"
 
 
 FULL_CHAOS = ("refuse=0.05,drop_request=0.05,drop_reply=0.05,"

@@ -5,6 +5,10 @@ fixes: the async client must ``await writer.wait_closed()`` (dropping
 the reference loses buffered data and leaks the transport until GC),
 and the sync client must not leak its socket when the buffered file
 wrapper's ``close()`` raises mid-flush.
+
+The retry-loop and deadline cases run against both transports: the
+``*Sync`` classes rerun them with the blocking client in a worker
+thread (see ``tests/server/transports.py``).
 """
 
 import asyncio
@@ -20,10 +24,11 @@ from repro.agent.fleet import NodeSpec
 from repro.errors import ServerError
 from repro.server.client import ServerClient, SyncServerClient
 from repro.server.protocol import ProtocolServer
-from repro.server.retry import (NO_RETRY, RetryPolicy, retryable,
-                                TRANSPORT_ERRORS)
+from repro.server.retry import (CLIENT_RETRIES, NO_RETRY, RetryPolicy,
+                                retryable, TRANSPORT_ERRORS)
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
+from tests.server.transports import make_client
 
 
 def _specs():
@@ -42,14 +47,40 @@ def with_stack(coro_factory):
     return asyncio.run(runner())
 
 
-async def _mute(reader, writer):
-    """A server that reads one request and never answers; it hangs up
-    only when the client does."""
-    try:
-        await reader.readline()
-        await reader.read()
-    finally:
-        writer.close()
+class _RawServer:
+    """A raw TCP server on an ephemeral port.  Its handler tasks are
+    awaited on exit (the client has hung up by then), so none is left
+    pending when the event loop closes."""
+
+    async def handle(self, reader, writer):
+        raise NotImplementedError
+
+    async def _tracked(self, reader, writer):
+        self._tasks.add(asyncio.current_task())
+        await self.handle(reader, writer)
+
+    async def __aenter__(self):
+        self._tasks = set()
+        self._server = await asyncio.start_server(self._tracked,
+                                                  "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()
+
+    async def __aexit__(self, *exc):
+        self._server.close()
+        await self._server.wait_closed()
+        await asyncio.wait_for(asyncio.gather(*self._tasks), 5)
+
+
+class _MuteServer(_RawServer):
+    """Reads one request and never answers; it hangs up only when the
+    client does."""
+
+    async def handle(self, reader, writer):
+        try:
+            await reader.readline()
+            await reader.read()
+        finally:
+            writer.close()
 
 
 def _exploding_writer_close():
@@ -75,26 +106,23 @@ def _exploding_writer_close():
     with_stack(body)
 
 
-def _deadline_not_retried():
+def _deadline_not_retried(transport="async"):
     async def body():
-        server = await asyncio.start_server(_mute, "127.0.0.1", 0)
-        host, port = server.sockets[0].getsockname()
-        client = ServerClient(
-            host, port, deadline=0.2,
-            retry=RetryPolicy(max_attempts=50,
-                              backoff_base=0.0001,
-                              backoff_cap=0.001))
-        try:
-            with pytest.raises(ServerError) as exc:
-                await client.ping()
-            assert exc.value.code == "deadline-exceeded"
-            # The budget bounds the whole call: a handful of
-            # attempts at most, never the full 50.
-            assert client.retries < 50
-        finally:
-            await client.close()
-            server.close()
-            await server.wait_closed()
+        async with _MuteServer() as (host, port):
+            client = make_client(
+                transport, host, port, deadline=0.2,
+                retry=RetryPolicy(max_attempts=50,
+                                  backoff_base=0.0001,
+                                  backoff_cap=0.001))
+            try:
+                with pytest.raises(ServerError) as exc:
+                    await client.ping()
+                assert exc.value.code == "deadline-exceeded"
+                # The budget bounds the whole call: a handful of
+                # attempts at most, never the full 50.
+                assert client.retries < 50
+            finally:
+                await client.close()
     asyncio.run(body())
 
 
@@ -159,7 +187,7 @@ class TestSyncClose:
         client.close()
 
 
-class _FlakyServer:
+class _FlakyServer(_RawServer):
     """A raw TCP server that kills the first N connections before
     replying, then behaves."""
 
@@ -168,7 +196,6 @@ class _FlakyServer:
         self.failures = failures
         self.reply = reply
         self.connections = 0
-        self._server = None
 
     async def handle(self, reader, writer):
         self.connections += 1
@@ -180,23 +207,16 @@ class _FlakyServer:
         await writer.drain()
         writer.close()
 
-    async def __aenter__(self):
-        self._server = await asyncio.start_server(self.handle,
-                                                  "127.0.0.1", 0)
-        return self._server.sockets[0].getsockname()
 
-    async def __aexit__(self, *exc):
-        self._server.close()
-        await self._server.wait_closed()
+class _RetryLoopCases:
+    transport = "async"
 
-
-class TestRetryLoop:
     def test_retries_ride_out_transient_failures(self):
         async def body():
             flaky = _FlakyServer(failures=2)
             async with flaky as (host, port):
-                client = ServerClient(
-                    host, port, retry=RetryPolicy(
+                client = make_client(
+                    self.transport, host, port, retry=RetryPolicy(
                         max_attempts=5, backoff_base=0.0001,
                         backoff_cap=0.001))
                 try:
@@ -211,7 +231,8 @@ class TestRetryLoop:
         async def body():
             flaky = _FlakyServer(failures=1)
             async with flaky as (host, port):
-                client = ServerClient(host, port, retry=NO_RETRY)
+                client = make_client(self.transport, host, port,
+                                     retry=NO_RETRY)
                 try:
                     with pytest.raises(ServerError) as exc:
                         await client.call({"op": "ping"})
@@ -225,8 +246,8 @@ class TestRetryLoop:
         async def body():
             flaky = _FlakyServer(failures=99)
             async with flaky as (host, port):
-                client = ServerClient(
-                    host, port, retry=RetryPolicy(
+                client = make_client(
+                    self.transport, host, port, retry=RetryPolicy(
                         max_attempts=3, backoff_base=0.0001,
                         backoff_cap=0.001))
                 try:
@@ -240,7 +261,7 @@ class TestRetryLoop:
 
     def test_fatal_error_replies_are_not_retried(self):
         async def body(proto, host, port):
-            client = ServerClient(host, port)
+            client = make_client(self.transport, host, port)
             try:
                 # call() returns fatal error replies (they are
                 # terminal); only the typed verbs raise.
@@ -253,6 +274,8 @@ class TestRetryLoop:
                 await client.close()
         with_stack(body)
 
+
+class TestRetryLoop(_RetryLoopCases):
     def test_sync_client_retries_too(self):
         async def body():
             flaky = _FlakyServer(failures=2)
@@ -272,24 +295,76 @@ class TestRetryLoop:
         asyncio.run(body())
 
 
-class TestDeadlines:
+class TestRetryLoopSync(_RetryLoopCases):
+    transport = "sync"
+
+
+class _SlowServer(_RawServer):
+    """Answers every ping on a connection, the first one at once and
+    each later one after ``delay`` seconds."""
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.connections = 0
+        self.requests = 0
+
+    async def handle(self, reader, writer):
+        self.connections += 1
+        try:
+            while await reader.readline():
+                if self.requests:
+                    await asyncio.sleep(self.delay)
+                self.requests += 1
+                writer.write(b'{"ok": true, "pong": 1}\n')
+                await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+
+class _DeadlineCases:
+    transport = "async"
+
     def test_call_deadline_on_silent_server(self):
         async def body():
-            server = await asyncio.start_server(_mute, "127.0.0.1", 0)
-            host, port = server.sockets[0].getsockname()
-            client = ServerClient(host, port)
-            try:
-                with pytest.raises(ServerError) as exc:
-                    await client.call({"op": "ping"}, deadline=0.2)
-                assert exc.value.code == "deadline-exceeded"
-            finally:
-                await client.close()
-                server.close()
-                await server.wait_closed()
+            async with _MuteServer() as (host, port):
+                client = make_client(self.transport, host, port)
+                try:
+                    with pytest.raises(ServerError) as exc:
+                        await client.call({"op": "ping"}, deadline=0.2)
+                    assert exc.value.code == "deadline-exceeded"
+                finally:
+                    await client.close()
         asyncio.run(body())
 
     def test_deadline_exceeded_is_not_retried(self):
-        _deadline_not_retried()
+        _deadline_not_retried(self.transport)
+
+
+class TestDeadlines(_DeadlineCases):
+    def test_deadline_timeout_does_not_outlive_its_call(self):
+        """Regression: the sync client shrank its socket timeout to a
+        call's remaining deadline and kept it, so a later call with no
+        deadline timed out, reconnected and re-sent its request."""
+        server = _SlowServer(delay=0.3)
+
+        async def body():
+            async with server as (host, port):
+                def check():
+                    client = SyncServerClient(host, port, timeout=5.0)
+                    try:
+                        assert client.call({"op": "ping"},
+                                           deadline=0.05)["ok"]
+                        assert client.call({"op": "ping"})["ok"]
+                        return client.retries
+                    finally:
+                        client.close()
+                return await asyncio.to_thread(check)
+        retries = asyncio.run(body())
+        connections = server.connections
+        assert retries == 0
+        assert connections == 1
 
     def test_sync_deadline(self):
         listener = socket.create_server(("127.0.0.1", 0))
@@ -302,6 +377,10 @@ class TestDeadlines:
         finally:
             client.close()
             listener.close()
+
+
+class TestDeadlinesSync(_DeadlineCases):
+    transport = "sync"
 
 
 class TestRetryPolicy:
@@ -330,6 +409,21 @@ class TestRetryPolicy:
             RetryPolicy(backoff_base=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=-0.1)
+
+    def test_one_policy_type_for_msr_and_clients(self):
+        from repro.core.perfctr import counters
+        assert RetryPolicy is counters.RetryPolicy
+        msr = counters.MSR_RETRIES
+        assert (msr.max_attempts, msr.backoff_base, msr.backoff_cap,
+                msr.jitter) == (8, 0.0001, 0.002, 0.0)
+        assert (CLIENT_RETRIES.max_attempts, CLIENT_RETRIES.backoff_base,
+                CLIENT_RETRIES.backoff_cap, CLIENT_RETRIES.jitter) \
+            == (6, 0.0005, 0.05, 0.5)
+        # Without an rng there is no jitter (the msr loop's case).
+        assert CLIENT_RETRIES.delay(1) == pytest.approx(0.001)
+        for client in (ServerClient("127.0.0.1", 1),
+                       SyncServerClient("127.0.0.1", 1)):
+            assert client.retry is CLIENT_RETRIES
 
     def test_retryable_classification(self):
         assert retryable(ConnectionResetError("x"))
@@ -462,3 +556,22 @@ class TestNoLeakedConnections:
                 writer.close()
                 await writer.wait_closed()
         asyncio.run(runner())
+
+    def test_close_while_an_accept_is_in_flight(self):
+        """Regression: a connection accepted in the loop iteration
+        before close() built its transport after the listener closed;
+        on Python 3.11 that fails and leaks the server-side socket."""
+        async def runner():
+            server = ReproServer.from_specs(_specs(), lease_limit=10.0)
+            proto = ProtocolServer(server)
+            host, port = await proto.start()
+            with socket.create_connection((host, port)):
+                await asyncio.sleep(0)      # the listener accepts
+                await asyncio.sleep(0)      # close() runs first
+                await proto.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(runner())
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
